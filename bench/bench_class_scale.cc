@@ -1,6 +1,5 @@
-// Class-scale benchmark: the sharded ClassStore build, the parallel
-// atomic-predicate refinement and the per-shard epoch diff at 100k+ flow
-// classes (DESIGN.md Sec. 15; ROADMAP million-flow item).
+// Class-scale benchmark: the sharded ClassStore build, the atomic-predicate
+// refinement and the per-shard epoch diff at 100k+ flow classes (DESIGN.md Sec. 15; ROADMAP million-flow item).
 //
 // Scenario: the AS-3679 ISP topology (79 nodes, ~6.2k OD pairs) with every
 // OD pair fanning its demand out over 18 policy chains from a 32-chain
@@ -13,21 +12,20 @@
 //     thread spawn cost stays out of the measured section). Gates: >=100k
 //     classes; every parallel store fingerprint-identical (ids included) to
 //     the serial store; the 4-worker build beats the serial wall-clock.
-//  B  Atomic-predicate refinement over a 384-predicate ACL-style catalog,
-//     serial vs {1, 2, 4, 8} workers. Determinism is checked in one shared
-//     manager (hash-consing makes equal atoms literally equal refs); the
-//     timed runs each use a fresh manager rebuilt from scratch, so neither
-//     side inherits warm apply/memo caches. Gates: atoms and memberships
-//     identical across every worker count; 4 workers beat serial.
+//  B  Atomic-predicate refinement over a 384-predicate ACL-style catalog
+//     (serial, best of kReps; every rep rebuilds a fresh manager so none
+//     replays from warm apply/memo caches). Gate: exactly kBlocks + 1
+//     atoms.
 //  C  Epoch assembly (greedy placement) over the store plus a per-shard
 //     diff against a perturbation confined to 8 of the 64 shards. Gates:
 //     exactly the perturbed shards diff dirty, the rest short-circuit via
 //     fingerprint equality.
 //
-// The two wall-clock gates need real parallelism: they are enforced only
-// when the machine offers >= 4 hardware threads (CI runners do) and are
-// reported-but-skipped on smaller machines, where beating serial is
-// physically impossible. The determinism, scale and shard gates always run.
+// The store-build wall-clock gate needs real parallelism: it is enforced
+// only when the machine offers >= 4 hardware threads (CI runners do) and
+// is reported-but-skipped on smaller machines, where beating serial is
+// physically impossible. The determinism, scale, atom and shard gates
+// always run.
 //
 // Deterministic counters (class/path/atom/shard counts) are pinned in
 // baselines/BENCH_class_scale.baseline.json.
@@ -56,7 +54,7 @@ constexpr std::size_t kChainsPerPair = 18;   // fan-out -> ~111k classes
 constexpr std::size_t kMinClasses = 100000;  // gate
 constexpr double kTotalMbps = 20000.0;
 constexpr std::size_t kWorkerCounts[] = {1, 2, 4, 8};
-constexpr std::size_t kGateWorkers = 4;  // the worker count the gates time
+constexpr std::size_t kGateWorkers = 4;  // the store-build gate times this
 constexpr std::size_t kReps = 3;         // best-of reps per timed config
 
 constexpr std::size_t kPredicates = 384;  // phase B catalog size
@@ -83,8 +81,7 @@ double best_of(Body&& body) {
 
 // ACL-style predicate catalog: kBlocks pairwise-disjoint
 // (src /8 AND dst /8) blocks; every predicate is the union of a seeded
-// random subset. The atom count stays bounded by kBlocks + 1, which is the
-// regime where slice-parallel refinement pays (small slices, cheap merge).
+// random subset. The atom count stays bounded by kBlocks + 1.
 std::vector<hsa::BddRef> make_predicates(hsa::BddManager& mgr) {
   const hsa::PredicateBuilder b(mgr);
   std::vector<hsa::BddRef> blocks;
@@ -114,7 +111,7 @@ std::vector<hsa::BddRef> make_predicates(hsa::BddManager& mgr) {
 int main() {
   obs::install_flight_crash_dump();
   bench::print_header(
-      "Class scale: sharded store, parallel refinement, per-shard diff");
+      "Class scale: sharded store, atomic refinement, per-shard diff");
 
   const bool gate_wall = std::thread::hardware_concurrency() >= kGateWorkers;
   if (!gate_wall) {
@@ -192,70 +189,21 @@ int main() {
   }
 
   // -------------------------------------------------------------- Phase B
-  // Determinism sweep in one shared manager: hash-consing makes
-  // structurally equal atoms the same BddRef, so identical output means
-  // identical vectors.
-  {
+  const double refine_s = best_of([&] {
     hsa::BddManager mgr = hsa::make_header_space_manager();
     const std::vector<hsa::BddRef> preds = make_predicates(mgr);
-    const hsa::AtomicPredicates serial_atoms =
+    const hsa::AtomicPredicates atoms =
         hsa::compute_atomic_predicates(mgr, preds);
-    for (const std::size_t w : kWorkerCounts) {
-      hsa::AtomicOptions aopt;
-      aopt.num_workers = w;
-      const hsa::AtomicPredicates atoms =
-          hsa::compute_atomic_predicates(mgr, preds, aopt);
-      if (atoms.atoms != serial_atoms.atoms ||
-          atoms.membership != serial_atoms.membership) {
-        std::fprintf(stderr,
-                     "error: %zu-worker refinement diverged from the serial "
-                     "atoms/memberships\n",
-                     w);
-        ok = false;
-      }
+    if (atoms.atoms.size() != kBlocks + 1) {
+      std::fprintf(stderr, "error: expected %zu atoms, got %zu\n",
+                   kBlocks + 1, atoms.atoms.size());
+      ok = false;
     }
-  }
-
-  // Timed runs: every rep rebuilds a fresh manager so neither side starts
-  // with warm apply/memo caches (the serial path would otherwise replay
-  // from the shared manager's memo table for free).
-  const auto time_refine = [&](std::size_t workers) {
-    return best_of([&] {
-      hsa::BddManager mgr = hsa::make_header_space_manager();
-      const std::vector<hsa::BddRef> preds = make_predicates(mgr);
-      hsa::AtomicOptions aopt;
-      aopt.num_workers = workers;
-      const hsa::AtomicPredicates atoms =
-          hsa::compute_atomic_predicates(mgr, preds, aopt);
-      if (atoms.atoms.size() != kBlocks + 1) {
-        std::fprintf(stderr, "error: expected %zu atoms, got %zu\n",
-                     kBlocks + 1, atoms.atoms.size());
-        ok = false;
-      }
-    });
-  };
-  const double serial_refine_s = time_refine(1);
-  std::printf("\n%-22s %-12s %-12s %-10s %-12s\n", "Atomic refinement",
-              "workers", "best (s)", "speedup", "predicates");
+  });
+  std::printf("\n%-22s %-12s %-12s\n", "Atomic refinement", "best (s)",
+              "predicates");
   bench::print_rule();
-  std::printf("%-22s %-12s %-12.4f %-10s %-12zu\n", "serial", "-",
-              serial_refine_s, "1.00", kPredicates);
-  double refine_gate_s = serial_refine_s;
-  for (const std::size_t w : kWorkerCounts) {
-    if (w == 1) continue;  // the serial row above
-    const double s = time_refine(w);
-    if (w == kGateWorkers) refine_gate_s = s;
-    std::printf("%-22s %-12zu %-12.4f %-10.2f %-12zu\n", "parallel", w, s,
-                serial_refine_s / s, kPredicates);
-  }
-  if (refine_gate_s >= serial_refine_s) {
-    std::fprintf(stderr,
-                 "%s: %zu-worker refinement %.4fs did not beat the serial "
-                 "refinement %.4fs\n",
-                 gate_wall ? "error" : "note (not enforced)", kGateWorkers,
-                 refine_gate_s, serial_refine_s);
-    if (gate_wall) ok = false;
-  }
+  std::printf("%-22s %-12.4f %-12zu\n", "serial", refine_s, kPredicates);
 
   // -------------------------------------------------------------- Phase C
   core::PipelineOptions poptions;

@@ -134,11 +134,12 @@ lp::LpModel make_random_sparse_lp(std::size_t vars, std::size_t rows,
   return model;
 }
 
-// Dense tableau vs revised sparse simplex on the same random LP, across
-// three sparsity tiers. Reported counters: pivots/s (rate of
-// lp.simplex.iterations across the timed region) and refactorizations per
-// iteration (revised only; the dense engine reads 0). Both read 0 when
-// metrics are compiled out — the wall-clock comparison still stands.
+// Dense tableau (lp::solve_dense) vs the revised sparse simplex
+// (SimplexSolver) on the same random LP, across three sparsity tiers.
+// Reported counters: pivots/s (rate of lp.simplex.iterations across the
+// timed region) and refactorizations per iteration (revised only; the
+// dense engine reads 0). Both read 0 when metrics are compiled out — the
+// wall-clock comparison still stands.
 // These are COLD solves: at this size the dense tableau's contiguous
 // sweeps can outrun the revised engine's BTRAN/FTRAN machinery, and that
 // is fine — the revised engine earns its keep on warm-restarted B&B
@@ -151,16 +152,14 @@ void BM_SimplexRandomSparse(benchmark::State& state) {
   const lp::LpModel model =
       make_random_sparse_lp(/*vars=*/90, /*rows=*/70, density,
                             /*seed=*/1234 + state.range(1));
-  lp::SimplexOptions opt;
-  opt.algorithm = revised ? lp::SimplexAlgorithm::kRevised
-                          : lp::SimplexAlgorithm::kDense;
-  const lp::SimplexSolver solver(opt);
+  const lp::SimplexSolver solver;
   obs::MetricsRegistry& reg = obs::default_registry();
   const std::uint64_t pivots0 = reg.counter("lp.simplex.iterations").value();
   const std::uint64_t refac0 =
       reg.counter("lp.simplex.refactorizations").value();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(model));
+    benchmark::DoNotOptimize(revised ? solver.solve(model)
+                                     : lp::solve_dense(model));
   }
   const auto pivots = static_cast<double>(
       reg.counter("lp.simplex.iterations").value() - pivots0);

@@ -495,29 +495,6 @@ Epoch EpochPipeline::run(const net::Topology& topo,
   return epoch;
 }
 
-std::vector<Epoch> EpochPipeline::run_many(
-    const net::Topology& topo, std::span<const vnf::PolicyChain> chains,
-    std::vector<std::vector<traffic::TrafficClass>> class_sets,
-    std::size_t num_workers) const {
-  APPLE_OBS_SPAN("core.pipeline.epoch_many_seconds");
-  std::vector<PlacementInput> inputs(class_sets.size());
-  for (std::size_t i = 0; i < class_sets.size(); ++i) {
-    inputs[i].topology = &topo;
-    inputs[i].classes = class_sets[i];
-    inputs[i].chains = chains;
-  }
-  std::vector<PlacementPlan> plans =
-      OptimizationEngine(options_.engine).place_many(inputs, num_workers);
-  std::vector<Epoch> epochs;
-  epochs.reserve(class_sets.size());
-  for (std::size_t i = 0; i < class_sets.size(); ++i) {
-    APPLE_OBS_COUNT("core.pipeline.epochs_full");
-    epochs.push_back(assemble(topo, chains, std::move(class_sets[i]),
-                              std::move(plans[i])));
-  }
-  return epochs;
-}
-
 IncrementalEpoch EpochPipeline::advance(
     const Epoch& prev, const net::Topology& topo,
     std::span<const vnf::PolicyChain> chains,

@@ -235,9 +235,9 @@ struct PipelineOptions {
 };
 
 // The staged epoch pipeline. `run` assembles a from-scratch epoch (the path
-// AppleController::optimize* and OptimizationEngine::place_many fan-outs
-// share); `advance` produces the next epoch from the previous one via the
-// delta stages, re-solving only dirty classes.
+// AppleController::optimize* shares); `advance` produces the next epoch
+// from the previous one via the delta stages, re-solving only dirty
+// classes.
 class EpochPipeline {
  public:
   explicit EpochPipeline(PipelineOptions options = {});
@@ -256,15 +256,6 @@ class EpochPipeline {
   Epoch run(const net::Topology& topo,
             std::span<const vnf::PolicyChain> chains,
             traffic::ClassStore store) const;
-
-  // Several independent epochs (e.g. the per-segment epochs of a replay
-  // series) through OptimizationEngine::place_many on a work-stealing
-  // pool; artifact assembly is the exact code path `run` uses. Results
-  // keep input order; infeasible inputs throw like `run`.
-  std::vector<Epoch> run_many(
-      const net::Topology& topo, std::span<const vnf::PolicyChain> chains,
-      std::vector<std::vector<traffic::TrafficClass>> class_sets,
-      std::size_t num_workers) const;
 
   // Assembles a full epoch from an externally computed placement: the
   // artifact stages `run` executes after its solve (inventory, sub-class

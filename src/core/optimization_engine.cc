@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "core/epoch_pipeline.h"
 #include "core/ilp_builder.h"
-#include "exec/thread_pool.h"
 #include "lp/simplex.h"
 #include "obs/obs.h"
 
@@ -594,26 +593,6 @@ PlacementPlan OptimizationEngine::place(const PlacementInput& input) const {
     APPLE_OBS_COUNT("core.engine.infeasible_placements");
   }
   return plan;
-}
-
-std::vector<PlacementPlan> OptimizationEngine::place_many(
-    std::span<const PlacementInput> inputs, std::size_t num_workers) const {
-  std::vector<PlacementPlan> plans(inputs.size());
-  const std::size_t workers = std::max<std::size_t>(1, num_workers);
-  if (workers == 1 || inputs.size() <= 1) {
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      plans[i] = place(inputs[i]);
-    }
-    return plans;
-  }
-  EngineOptions inner = options_;
-  inner.mip.num_workers = 1;  // the epoch fan-out is the only parallelism
-  const OptimizationEngine engine(inner);
-  exec::ThreadPool pool(std::min(workers, inputs.size()) - 1);
-  exec::parallel_for(pool, 0, inputs.size(), [&](std::size_t i) {
-    plans[i] = engine.place(inputs[i]);
-  });
-  return plans;
 }
 
 PlacementPlan OptimizationEngine::replace(const PlacementInput& input,

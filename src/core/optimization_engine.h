@@ -14,9 +14,6 @@
 //               networks). Validated against kExact in tests.
 #pragma once
 
-#include <span>
-#include <vector>
-
 #include "core/placement.h"
 #include "lp/mip.h"
 
@@ -30,10 +27,6 @@ const char* to_string(PlacementStrategy s);
 
 struct EngineOptions {
   PlacementStrategy strategy = PlacementStrategy::kGreedy;
-  // Both option blocks carry a SimplexOptions::algorithm knob (lp/simplex.h):
-  // kAuto (default) runs the revised sparse simplex with dual warm restarts
-  // between B&B nodes and falls back to the dense tableau on numerical
-  // trouble; kDense forces the old dense-only behaviour.
   lp::MipOptions mip;          // used by kExact
   lp::SimplexOptions simplex;  // used by kLpRound
 };
@@ -47,15 +40,6 @@ class OptimizationEngine {
   // not satisfy the constraints (e.g. resources too tight); the plan then
   // carries the reason.
   PlacementPlan place(const PlacementInput& input) const;
-
-  // Places several independent inputs (e.g. the per-epoch ILPs of a
-  // replay series) concurrently on a work-stealing pool. Equivalent to
-  // calling place() on each input in order; results keep input order.
-  // Inner MIP solves run with num_workers = 1 so the epoch fan-out is the
-  // only parallelism (no oversubscription); num_workers <= 1 or a single
-  // input degenerates to the plain serial loop.
-  std::vector<PlacementPlan> place_many(std::span<const PlacementInput> inputs,
-                                        std::size_t num_workers) const;
 
   // Incremental re-placement (epoch pipeline stage 2, paper Sec. VI):
   // carries the pinned classes' assignments over from `prev` verbatim and

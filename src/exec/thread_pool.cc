@@ -238,23 +238,4 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   group.wait();
 }
 
-void parallel_chunks(
-    ThreadPool& pool, std::size_t begin, std::size_t end, std::size_t chunks,
-    const std::function<void(std::size_t chunk, std::size_t lo,
-                             std::size_t hi)>& body) {
-  if (chunks == 0) return;
-  const std::size_t range = end > begin ? end - begin : 0;
-  const std::size_t base = range / chunks;
-  const std::size_t extra = range % chunks;
-  TaskGroup group(pool);
-  std::size_t lo = begin;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t size = base + (c < extra ? 1 : 0);
-    const std::size_t hi = lo + size;
-    group.run([c, lo, hi, &body] { body(c, lo, hi); });
-    lo = hi;
-  }
-  group.wait();
-}
-
 }  // namespace apple::exec

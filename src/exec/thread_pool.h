@@ -1,8 +1,8 @@
-// Work-stealing execution pool — the parallel substrate for the solver
-// engine (lp/mip.cc) and for fan-out over independent per-epoch ILPs
-// (core/optimization_engine.cc). Sits directly above common/obs in the
-// layering DAG (DESIGN.md Sec. 6) so any module may parallelize without
-// new edges.
+// Work-stealing execution pool — the parallel substrate for the
+// branch-and-bound rounds (lp/mip.cc), the class-store build
+// (traffic/class_store.cc) and the multi-domain fan-out (ctrl/). Sits
+// directly above common/obs in the layering DAG (DESIGN.md Sec. 6) so any
+// module may parallelize without new edges.
 //
 // Shape:
 //  * `ThreadPool(n)` spawns exactly n worker threads, each owning a deque.
@@ -152,20 +152,5 @@ class TaskGroup {
 // first exception a body invocation threw (remaining chunks still run).
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
-
-// Partitions [begin, end) into exactly `chunks` contiguous slices (sizes
-// differing by at most one; trailing slices are empty when the range is
-// smaller than `chunks`) and runs body(chunk, lo, hi) once per slice across
-// the pool; the calling thread participates. Unlike parallel_for — whose
-// chunk count derives from the pool's lane count — the slice boundaries
-// here are a pure function of (range, chunks), so callers that fill one
-// output slot per chunk and merge the slots in chunk order get a result
-// that does not depend on how many workers the pool happens to have (the
-// split/refine/merge of hsa's parallel atomic predicates rides on this).
-// Rethrows the first exception a body invocation threw.
-void parallel_chunks(
-    ThreadPool& pool, std::size_t begin, std::size_t end, std::size_t chunks,
-    const std::function<void(std::size_t chunk, std::size_t lo,
-                             std::size_t hi)>& body);
 
 }  // namespace apple::exec

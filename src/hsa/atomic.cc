@@ -1,36 +1,24 @@
 #include "hsa/atomic.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "exec/thread_pool.h"
 #include "obs/obs.h"
 
 namespace apple::hsa {
 
 namespace {
 
-// One slice's refinement result: atoms plus, per atom, the sorted list of
-// global predicate indices the atom lies inside (its signature). The
-// signature determines the atom uniquely within a slice, and memberships of
-// merged atoms are derived from signature unions — no implies() calls.
-struct SliceRefinement {
-  std::vector<BddManager::PortableBdd> atoms;
-  std::vector<std::vector<std::size_t>> signatures;
-};
-
-// Serial refinement of predicates[lo, hi) in `mgr`, tracking signatures
-// with global indices. Atom order is the nested inside-before-outside
-// order: after processing P_lo..P_i, the atoms are ordered by their in/out
-// signature over those predicates, "inside" first at every step. This is
-// the order the merge below reproduces.
+// Refinement of `predicates` in `mgr`, tracking per atom the sorted list of
+// predicate indices the atom lies inside (its signature). Atom order is the
+// nested inside-before-outside order: after processing P_0..P_i, the atoms
+// are ordered by their in/out signature over those predicates, "inside"
+// first at every step.
 std::pair<std::vector<BddRef>, std::vector<std::vector<std::size_t>>> refine(
-    BddManager& mgr, std::span<const BddRef> predicates, std::size_t lo,
-    std::size_t hi) {
+    BddManager& mgr, std::span<const BddRef> predicates) {
   std::vector<BddRef> atoms{kBddTrue};
   std::vector<std::vector<std::size_t>> sigs{{}};
-  for (std::size_t i = lo; i < hi; ++i) {
+  for (std::size_t i = 0; i < predicates.size(); ++i) {
     const BddRef p = predicates[i];
     std::vector<BddRef> next_atoms;
     std::vector<std::vector<std::size_t>> next_sigs;
@@ -55,120 +43,21 @@ std::pair<std::vector<BddRef>, std::vector<std::vector<std::size_t>>> refine(
   return {std::move(atoms), std::move(sigs)};
 }
 
-std::vector<std::vector<std::size_t>> memberships_from_signatures(
-    std::size_t num_predicates,
-    const std::vector<std::vector<std::size_t>>& sigs) {
-  // Atom-major iteration keeps each membership list ascending, matching
-  // the serial implies() scan.
-  std::vector<std::vector<std::size_t>> membership(num_predicates);
-  for (std::size_t j = 0; j < sigs.size(); ++j) {
-    for (const std::size_t i : sigs[j]) membership[i].push_back(j);
-  }
-  return membership;
-}
-
 }  // namespace
-
-void AtomicOptions::validate() const {
-  if (num_workers == 0) {
-    throw std::invalid_argument("atomic refinement needs at least one worker");
-  }
-}
-
-AtomicPredicates compute_atomic_predicates(BddManager& mgr,
-                                           std::span<const BddRef> predicates,
-                                           const AtomicOptions& options) {
-  options.validate();
-  APPLE_OBS_SPAN("hsa.atomic.compute_seconds");
-  AtomicPredicates out;
-  const std::size_t workers = std::min(options.num_workers, predicates.size());
-  if (workers <= 1) {
-    auto [atoms, sigs] = refine(mgr, predicates, 0, predicates.size());
-    out.atoms = std::move(atoms);
-    out.membership = memberships_from_signatures(predicates.size(), sigs);
-    APPLE_OBS_COUNT_N("hsa.atomic.atoms_computed", out.atoms.size());
-    return out;
-  }
-
-  // Split/refine/merge. Correctness and determinism argument: write
-  // atoms(S) for the refinement's ordered atom list over a predicate
-  // sequence S. Every atom of atoms(S1 ++ S2) is a non-empty A ∧ B with
-  // A ∈ atoms(S1), B ∈ atoms(S2), and the serial order over S1 ++ S2 is
-  // A-major: refining atoms(S1) against S2 subdivides each A in place, and
-  // within one A the surviving sub-atoms appear in atoms(S2)'s nested
-  // signature order. So iterating A-major / B-minor and dropping empty
-  // products reproduces the serial order exactly; folding left over W
-  // slices extends this by induction. Memberships follow structurally:
-  // A ∧ B lies inside P_i iff the owning slice's atom took P_i's inside
-  // branch, i.e. iff i is in the concatenated signature.
-  std::vector<BddManager::PortableBdd> ports(predicates.size());
-  for (std::size_t i = 0; i < predicates.size(); ++i) {
-    ports[i] = mgr.export_bdd(predicates[i]);
-  }
-  std::vector<SliceRefinement> parts(workers);
-  {
-    APPLE_OBS_SPAN("hsa.atomic.refine_slices_seconds");
-    exec::ThreadPool pool(workers - 1);
-    exec::parallel_chunks(
-        pool, 0, predicates.size(), workers,
-        [&](std::size_t w, std::size_t lo, std::size_t hi) {
-          BddManager local(mgr.num_vars());
-          std::vector<BddRef> slice(hi - lo);
-          for (std::size_t i = lo; i < hi; ++i) {
-            slice[i - lo] = local.import_bdd(ports[i]);
-          }
-          auto [atoms, sigs] =
-              refine(local, slice, 0, slice.size());
-          SliceRefinement& part = parts[w];
-          part.atoms.reserve(atoms.size());
-          for (const BddRef a : atoms) part.atoms.push_back(local.export_bdd(a));
-          part.signatures = std::move(sigs);
-          // Rebase slice-local signature indices to global ones.
-          for (auto& sig : part.signatures) {
-            for (std::size_t& i : sig) i += lo;
-          }
-        });
-  }
-
-  // Left fold of the pairwise products in the caller's manager.
-  APPLE_OBS_SPAN("hsa.atomic.merge_seconds");
-  std::vector<BddRef> atoms;
-  std::vector<std::vector<std::size_t>> sigs;
-  atoms.reserve(parts[0].atoms.size());
-  for (const auto& p : parts[0].atoms) atoms.push_back(mgr.import_bdd(p));
-  sigs = std::move(parts[0].signatures);
-  for (std::size_t w = 1; w < workers; ++w) {
-    std::vector<BddRef> right;
-    right.reserve(parts[w].atoms.size());
-    for (const auto& p : parts[w].atoms) right.push_back(mgr.import_bdd(p));
-    std::vector<BddRef> next_atoms;
-    std::vector<std::vector<std::size_t>> next_sigs;
-    for (std::size_t a = 0; a < atoms.size(); ++a) {
-      for (std::size_t b = 0; b < right.size(); ++b) {
-        const BddRef product = mgr.apply_and(atoms[a], right[b]);
-        if (mgr.is_false(product)) continue;
-        next_atoms.push_back(product);
-        // Slice index ranges are disjoint and increasing left to right, so
-        // concatenation keeps the signature sorted.
-        std::vector<std::size_t> sig = sigs[a];
-        sig.insert(sig.end(), parts[w].signatures[b].begin(),
-                   parts[w].signatures[b].end());
-        next_sigs.push_back(std::move(sig));
-      }
-    }
-    atoms = std::move(next_atoms);
-    sigs = std::move(next_sigs);
-  }
-
-  out.atoms = std::move(atoms);
-  out.membership = memberships_from_signatures(predicates.size(), sigs);
-  APPLE_OBS_COUNT_N("hsa.atomic.atoms_computed", out.atoms.size());
-  return out;
-}
 
 AtomicPredicates compute_atomic_predicates(
     BddManager& mgr, std::span<const BddRef> predicates) {
-  return compute_atomic_predicates(mgr, predicates, AtomicOptions{});
+  APPLE_OBS_SPAN("hsa.atomic.compute_seconds");
+  auto [atoms, sigs] = refine(mgr, predicates);
+  AtomicPredicates out;
+  out.atoms = std::move(atoms);
+  // Atom-major iteration keeps each membership list ascending.
+  out.membership.resize(predicates.size());
+  for (std::size_t j = 0; j < sigs.size(); ++j) {
+    for (const std::size_t i : sigs[j]) out.membership[i].push_back(j);
+  }
+  APPLE_OBS_COUNT_N("hsa.atomic.atoms_computed", out.atoms.size());
+  return out;
 }
 
 std::size_t atom_of_point(BddManager& mgr, const AtomicPredicates& atoms,

@@ -7,14 +7,8 @@
 // same equivalence class iff they satisfy the same atom, which is exactly
 // the class granularity APPLE's Optimization Engine operates on.
 //
-// The refinement parallelizes by splitting the predicate set into
-// contiguous slices, refining each slice in a private worker-local
-// BddManager (hash-consed managers are not shareable across threads), and
-// merging the partial atom sets pairwise in the caller's manager. The merge
-// iterates left-slice-major, which reproduces the serial refinement's atom
-// order exactly — output atoms, order and memberships are identical to the
-// serial computation for every worker count (see DESIGN.md Sec. 15 and the
-// proof sketch in atomic.cc).
+// The refinement runs serially in the caller's manager (hash-consed
+// managers are not shareable across threads; see DESIGN.md Sec. 15).
 #pragma once
 
 #include <cstdint>
@@ -32,21 +26,9 @@ struct AtomicPredicates {
   std::vector<std::vector<std::size_t>> membership;
 };
 
-struct AtomicOptions {
-  // Worker lanes for the split/refine/merge path; 1 refines serially in
-  // the caller's manager. Clamped to the predicate count.
-  std::size_t num_workers = 1;
-
-  void validate() const;
-};
-
 // Computes the atomic predicates of `predicates`. Empty input yields the
-// single atom `true` with no memberships. The result — atoms, their order
-// and memberships — is independent of options.num_workers.
-AtomicPredicates compute_atomic_predicates(BddManager& mgr,
-                                           std::span<const BddRef> predicates,
-                                           const AtomicOptions& options);
-
+// single atom `true` with no memberships. Atom order is the nested
+// inside-before-outside order of the refinement (see atomic.cc).
 AtomicPredicates compute_atomic_predicates(BddManager& mgr,
                                            std::span<const BddRef> predicates);
 

@@ -175,59 +175,6 @@ BddManager::NodeView BddManager::node_view(BddRef f) const {
   return NodeView{n.var, n.lo, n.hi};
 }
 
-BddManager::PortableBdd BddManager::export_bdd(BddRef f) const {
-  APPLE_CHECK_LT(f, nodes_.size());
-  PortableBdd out;
-  out.num_vars = num_vars_;
-  if (f <= kBddTrue) {
-    out.root = f;
-    return out;
-  }
-  // Children are always interned before their parent, so ascending ref
-  // order is a bottom-up topological order of the reachable set.
-  std::vector<BddRef> reachable;
-  std::vector<BddRef> stack{f};
-  std::unordered_map<BddRef, BddRef> remap;  // manager ref -> portable ref
-  while (!stack.empty()) {
-    const BddRef r = stack.back();
-    stack.pop_back();
-    if (r <= kBddTrue || remap.count(r) != 0) continue;
-    remap.emplace(r, 0);
-    reachable.push_back(r);
-    stack.push_back(nodes_[r].lo);
-    stack.push_back(nodes_[r].hi);
-  }
-  std::sort(reachable.begin(), reachable.end());
-  out.nodes.reserve(reachable.size());
-  for (std::size_t i = 0; i < reachable.size(); ++i) {
-    const Node& n = nodes_[reachable[i]];
-    remap[reachable[i]] = static_cast<BddRef>(i) + 2;
-    PortableBdd::PortableNode p;
-    p.var = n.var;
-    p.lo = n.lo <= kBddTrue ? n.lo : remap.at(n.lo);
-    p.hi = n.hi <= kBddTrue ? n.hi : remap.at(n.hi);
-    out.nodes.push_back(p);
-  }
-  out.root = remap.at(f);
-  return out;
-}
-
-BddRef BddManager::import_bdd(const PortableBdd& p) {
-  APPLE_CHECK_EQ(p.num_vars, num_vars_);
-  if (p.root <= kBddTrue) return p.root;
-  std::vector<BddRef> local(p.nodes.size() + 2);
-  local[0] = kBddFalse;
-  local[1] = kBddTrue;
-  for (std::size_t i = 0; i < p.nodes.size(); ++i) {
-    const PortableBdd::PortableNode& n = p.nodes[i];
-    APPLE_CHECK_LT(n.lo, i + 2);  // children precede parents
-    APPLE_CHECK_LT(n.hi, i + 2);
-    local[i + 2] = make_node(n.var, local[n.lo], local[n.hi]);
-  }
-  APPLE_CHECK_LT(p.root, local.size());
-  return local[p.root];
-}
-
 double BddManager::sat_count(BddRef f) const {
   APPLE_CHECK_LT(f, nodes_.size());
   // Fraction-based count avoids tracking variable gaps: density(f) is the

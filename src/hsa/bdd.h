@@ -66,29 +66,6 @@ class BddManager {
   // double (the 104-variable header space overflows integers).
   double sat_count(BddRef f) const;
 
-  // Manager-independent serialization of f's reachable DAG: children
-  // strictly before parents, terminals implicit. Refs inside are 0/1 for
-  // the terminals and i + 2 for the i-th entry of `nodes`. This is how
-  // predicates and atoms move between managers — e.g. into and out of the
-  // worker-local managers of the parallel atomic-predicate refinement
-  // (hsa/atomic.cc): a manager's hash-consing table and memo caches mutate
-  // on every operation, so sharing one across threads is not an option.
-  struct PortableBdd {
-    struct PortableNode {
-      std::uint32_t var = 0;
-      BddRef lo = kBddFalse;
-      BddRef hi = kBddFalse;
-    };
-    std::uint32_t num_vars = 0;
-    BddRef root = kBddFalse;
-    std::vector<PortableNode> nodes;
-  };
-  PortableBdd export_bdd(BddRef f) const;
-  // Interns a portable BDD into this manager (num_vars must match) and
-  // returns the local root. Structurally equal imports hash-cons to the
-  // same ref, so re-importing an exported f yields f.
-  BddRef import_bdd(const PortableBdd& p);
-
  private:
   struct Node {
     std::uint32_t var;  // variable tested at this node

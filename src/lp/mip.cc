@@ -1,7 +1,6 @@
 #include "lp/mip.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -46,12 +45,8 @@ struct Node {
   double bound = -kInf;   // parent LP objective (lower bound for children)
   std::uint64_t seq = 0;  // creation index: deterministic heap tie-break
   std::vector<BoundDelta> deltas;
-  // Structural basis at the parent's optimum, shared by both children and
-  // crashed into each child's initial basis if the child's LP runs on the
-  // dense tableau (warm start).
-  std::shared_ptr<const std::vector<VarId>> warm;
-  // Full parent basis for the revised solver's dual warm restart. Null
-  // for the root and for children of dense-fallback nodes (cold start).
+  // Parent basis for the revised solver's dual warm restart. Null for the
+  // root and for children of dense-fallback nodes (cold start).
   std::shared_ptr<const SimplexBasis> rbasis;
 };
 
@@ -70,20 +65,12 @@ struct Slot {
   // Optimal basis of this node's revised solve, handed to its children
   // for a dual warm restart. Null after a dense fallback.
   std::shared_ptr<const SimplexBasis> basis;
-  bool skipped = false;  // pruned against a mid-round incumbent (non-det)
 };
 
 // True when `bound` cannot improve on incumbent `inc` by more than the
 // relative gap. False while no incumbent exists (inc = +inf).
 bool prunable(double bound, double inc, double gap) {
   return std::isfinite(inc) && bound >= inc - gap * std::max(1.0, std::abs(inc));
-}
-
-void atomic_min(std::atomic<double>& target, double value) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (value < cur &&
-         !target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
 }
 
 // Index into `int_vars` of the most fractional variable, or -1 if the
@@ -125,9 +112,7 @@ MipResult MipSolver::solve(const LpModel& model) const {
   sopt.deadline = std::min(sopt.deadline, deadline);
 
   MipResult res;
-  // Pruning bound, readable from worker threads. Coordinator-owned
-  // incumbent_obj/incumbent_x are only touched at round barriers.
-  std::atomic<double> incumbent_bound{kInf};
+  // Coordinator-owned: only touched between rounds, never by workers.
   double incumbent_obj = kInf;
   std::vector<double> incumbent_x;
   // Flush node counters on every exit path (limit, infeasible, optimal).
@@ -171,7 +156,6 @@ MipResult MipSolver::solve(const LpModel& model) const {
     if (warm_ok) {
       incumbent_obj = model.objective_value(warm);
       incumbent_x = std::move(warm);
-      atomic_min(incumbent_bound, incumbent_obj);
       APPLE_OBS_COUNT("lp.mip.warm_incumbents");
     } else {
       APPLE_OBS_COUNT("lp.mip.warm_rejected");
@@ -183,19 +167,12 @@ MipResult MipSolver::solve(const LpModel& model) const {
   if (num_workers > 1) {
     pool = std::make_unique<exec::ThreadPool>(num_workers - 1);
   }
-  // One solver per slot: workers never share solver state. The revised
-  // instances each lower the model to sparse form once and are reused for
-  // every node the slot solves; the dense solvers are the per-slot
-  // numerical-trouble fallback (and the whole path when kDense is forced).
-  const bool revised_mode = sopt.algorithm != SimplexAlgorithm::kDense;
-  SimplexOptions dense_opt = sopt;
-  dense_opt.algorithm = SimplexAlgorithm::kDense;
-  std::vector<SimplexSolver> solvers(num_workers, SimplexSolver(dense_opt));
+  // One solver per slot: workers never share solver state. Each instance
+  // lowers the model to sparse form once and is reused for every node the
+  // slot solves.
   std::vector<std::unique_ptr<RevisedSimplex>> rsolvers(num_workers);
-  if (revised_mode) {
-    for (std::size_t i = 0; i < num_workers; ++i) {
-      rsolvers[i] = std::make_unique<RevisedSimplex>(model, sopt);
-    }
+  for (std::size_t i = 0; i < num_workers; ++i) {
+    rsolvers[i] = std::make_unique<RevisedSimplex>(model, sopt);
   }
   std::vector<Slot> slots(num_workers);
   std::vector<Node> batch;
@@ -204,7 +181,7 @@ MipResult MipSolver::solve(const LpModel& model) const {
   std::priority_queue<Node, std::vector<Node>, NodeOrder> open;
   std::uint64_t next_seq = 0;
   APPLE_OBS_EVENT_N("lp.mip.node.enqueue", 0);
-  open.push(Node{-kInf, next_seq++, {}, nullptr, nullptr});
+  open.push(Node{-kInf, next_seq++, {}, nullptr});
   bool hit_limit = false;
   double best_open_bound = -kInf;
 
@@ -212,14 +189,7 @@ MipResult MipSolver::solve(const LpModel& model) const {
     Slot& s = slots[i];
     const Node& node = batch[i];
     APPLE_OBS_EVENT_N("lp.mip.node.solve", node.seq);
-    s.skipped = false;
     s.basis = nullptr;
-    if (!options_.deterministic &&
-        prunable(node.bound, incumbent_bound.load(std::memory_order_relaxed),
-                 options_.relative_gap)) {
-      s.skipped = true;  // another slot already published a better incumbent
-      return;
-    }
     s.lower.assign(n_vars, 0.0);
     s.upper.assign(n_vars, kInf);
     for (const BoundDelta& d : node.deltas) {
@@ -230,38 +200,18 @@ MipResult MipSolver::solve(const LpModel& model) const {
         s.lower[v] = std::max(s.lower[v], d.value);
       }
     }
-    bool solved_revised = false;
-    if (revised_mode) {
-      RevisedSimplex& rs = *rsolvers[i];
-      s.rel = node.rbasis != nullptr
-                  ? rs.solve_warm(s.lower, s.upper, *node.rbasis)
-                  : rs.solve(s.lower, s.upper);
-      solved_revised = !(rs.numerical_trouble() &&
-                         sopt.algorithm == SimplexAlgorithm::kAuto);
-      if (solved_revised && s.rel.status == SolveStatus::kOptimal) {
-        auto basis = std::make_shared<SimplexBasis>(rs.basis());
-        // Derive the dense crash hints too, so a child that later falls
-        // back to the tableau still warm-starts.
-        for (std::size_t v = 0; v < n_vars; ++v) {
-          if (basis->status[v] == VarStatus::kBasic) {
-            s.rel.basic_vars.push_back(static_cast<VarId>(v));
-          }
-        }
-        s.basis = std::move(basis);
-      }
-    }
-    if (!solved_revised) {
-      if (revised_mode) APPLE_OBS_COUNT("lp.mip.dense_fallbacks");
+    RevisedSimplex& rs = *rsolvers[i];
+    s.rel = node.rbasis != nullptr
+                ? rs.solve_warm(s.lower, s.upper, *node.rbasis)
+                : rs.solve(s.lower, s.upper);
+    if (rs.numerical_trouble()) {
+      APPLE_OBS_COUNT("lp.mip.dense_fallbacks");
       SolveContext ctx;
       ctx.lower = s.lower;
       ctx.upper = s.upper;
-      ctx.warm_basis = node.warm.get();
-      ctx.want_basis = true;
-      s.rel = solvers[i].solve(model, ctx);
-    }
-    if (!options_.deterministic && s.rel.status == SolveStatus::kOptimal &&
-        most_fractional(int_vars, s.rel.x, options_.integrality_eps) < 0) {
-      atomic_min(incumbent_bound, s.rel.objective);
+      s.rel = solve_dense(model, ctx, sopt);
+    } else if (s.rel.status == SolveStatus::kOptimal) {
+      s.basis = std::make_shared<SimplexBasis>(rs.basis());
     }
   };
 
@@ -283,8 +233,7 @@ MipResult MipSolver::solve(const LpModel& model) const {
       open.pop();
       best_open_bound = node.bound;
       // Bound-based prune (bounds can only tighten down the tree).
-      if (prunable(node.bound, incumbent_bound.load(std::memory_order_relaxed),
-                   options_.relative_gap)) {
+      if (prunable(node.bound, incumbent_obj, options_.relative_gap)) {
         APPLE_OBS_EVENT_N("lp.mip.node.prune", node.seq);
         ++nodes_pruned;
         continue;
@@ -303,11 +252,6 @@ MipResult MipSolver::solve(const LpModel& model) const {
     // decides incumbents and child seq numbers, hence determinism.
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Slot& s = slots[i];
-      if (s.skipped) {
-        APPLE_OBS_EVENT_N("lp.mip.node.prune", batch[i].seq);
-        ++nodes_pruned;
-        continue;
-      }
       ++res.nodes_explored;
       const LpSolution& rel = s.rel;
       if (rel.status == SolveStatus::kInfeasible) continue;
@@ -321,9 +265,6 @@ MipResult MipSolver::solve(const LpModel& model) const {
         res.status = SolveStatus::kUnbounded;
         return res;
       }
-      // Prune against the *recorded* incumbent, never the mid-round atomic:
-      // the slot that published a bound this round still has to be folded
-      // in here, or its solution would be lost.
       if (prunable(rel.objective, incumbent_obj, options_.relative_gap)) {
         APPLE_OBS_EVENT_N("lp.mip.node.prune", batch[i].seq);
         ++nodes_pruned;
@@ -343,18 +284,14 @@ MipResult MipSolver::solve(const LpModel& model) const {
             incumbent_x[static_cast<std::size_t>(v)] =
                 std::round(incumbent_x[static_cast<std::size_t>(v)]);
           }
-          atomic_min(incumbent_bound, incumbent_obj);
         }
         continue;
       }
 
       const double val = rel.x[static_cast<std::size_t>(frac_var)];
-      auto warm = std::make_shared<const std::vector<VarId>>(
-          std::move(s.rel.basic_vars));
-      Node down{rel.objective, next_seq++, batch[i].deltas, warm, s.basis};
+      Node down{rel.objective, next_seq++, batch[i].deltas, s.basis};
       down.deltas.push_back(BoundDelta{frac_var, true, std::floor(val)});
-      Node up{rel.objective, next_seq++, std::move(batch[i].deltas), warm,
-              s.basis};
+      Node up{rel.objective, next_seq++, std::move(batch[i].deltas), s.basis};
       up.deltas.push_back(BoundDelta{frac_var, false, std::ceil(val)});
       APPLE_OBS_EVENT_N("lp.mip.node.enqueue", down.seq);
       APPLE_OBS_EVENT_N("lp.mip.node.enqueue", up.seq);

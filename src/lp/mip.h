@@ -7,15 +7,13 @@
 // recorded as a compact diff against the root (no constraint rows are ever
 // appended, and the model is never copied per node).
 //
-// Node LPs run on the revised sparse simplex by default (see
-// lp/revised_simplex.h): a child node differs from its parent only in one
-// variable bound, so the parent's optimal basis stays *dual feasible* and
-// the child warm-restarts with a handful of dual-simplex pivots instead of
-// a full cold solve. A node whose revised solve reports numerical trouble
-// falls back to the dense tableau (crash-warm-started from the parent's
-// basic variables); its children then cold-start the revised solver.
-// Forcing SimplexOptions::algorithm = kDense restores the previous
-// dense-only behaviour.
+// Node LPs run on the revised sparse simplex (see lp/revised_simplex.h):
+// a child node differs from its parent only in one variable bound, so the
+// parent's optimal basis stays *dual feasible* and the child warm-restarts
+// with a handful of dual-simplex pivots instead of a full cold solve. A
+// node whose revised solve reports numerical trouble re-solves cold on the
+// dense tableau (lp::solve_dense); its children then cold-start the
+// revised solver.
 //
 // Parallelism (MipOptions::num_workers > 1): the search proceeds in epochs.
 // Each round the coordinator pops up to num_workers best-bound nodes, their
@@ -48,13 +46,6 @@ struct MipOptions {
   // pure serial path; W > 1 spawns a pool of W - 1 threads per solve (the
   // calling thread is the W-th lane).
   std::size_t num_workers = 1;
-  // When true, incumbents are only published at round barriers, in batch
-  // order — the search explores the same tree on every run for a fixed
-  // num_workers. When false, a worker that finds an integral solution
-  // publishes its objective immediately and later slots of the same round
-  // may skip their LP solve against it: often faster, but the explored
-  // node count becomes timing-dependent.
-  bool deterministic = true;
   // Optional warm incumbent (one value per model variable): a known
   // feasible integral solution, e.g. the previous epoch's placement when
   // re-optimizing incrementally. It is validated against the model (row

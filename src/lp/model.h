@@ -82,10 +82,6 @@ struct LpSolution {
   double objective = 0.0;
   std::vector<double> x;
   std::size_t iterations = 0;
-  // Structural variables basic at the optimum. Only filled when the solve
-  // was asked for it (SolveContext::want_basis); used by branch-and-bound
-  // to warm-start child nodes from the parent basis.
-  std::vector<VarId> basic_vars;
 
   bool optimal() const { return status == SolveStatus::kOptimal; }
 };

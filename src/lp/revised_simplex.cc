@@ -86,7 +86,7 @@ void RevisedSimplex::load_cold_basis() {
   }
 }
 
-bool RevisedSimplex::load_warm_basis(const SimplexBasis& warm) {
+bool RevisedSimplex::load_basis(const SimplexBasis& warm) {
   const std::size_t m = lp_.num_rows;
   const std::size_t ncol = lp_.num_cols();
   if (warm.basic.size() != m || warm.status.size() != ncol) return false;
@@ -661,8 +661,7 @@ LpSolution RevisedSimplex::solve_warm(std::span<const double> lower,
     finish_obs(out);
     return out;
   }
-  const bool warmed =
-      !warm.empty() && load_warm_basis(warm) && refactorize();
+  const bool warmed = !warm.empty() && load_basis(warm) && refactorize();
   if (warmed) {
     compute_basic_values();
     StepResult r;

@@ -27,8 +27,8 @@
 // schedule, and no ambient state is read except the opt-in deadline — a
 // solve is bitwise reproducible. Numerical trouble (unstable pivot after a
 // refactorize-retry, a singular repair, phase-1 stall) sets
-// `numerical_trouble()` and the caller falls back to the dense tableau,
-// which is the behaviour SimplexAlgorithm::kAuto wires up.
+// `numerical_trouble()` and the caller falls back to the dense tableau
+// (SimplexSolver::solve and every B&B node do).
 #pragma once
 
 #include <cstddef>
@@ -104,7 +104,7 @@ class RevisedSimplex {
   bool setup_bounds(std::span<const double> lower,
                     std::span<const double> upper);
   void load_cold_basis();
-  bool load_warm_basis(const SimplexBasis& warm);
+  bool load_basis(const SimplexBasis& warm);
   bool refactorize();
   void compute_basic_values();
   void timed_ftran(std::vector<double>& x);

@@ -38,9 +38,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 //   with its own slack in the initial basis.
 class Tableau {
  public:
-  Tableau(const LpModel& model, const SimplexOptions& opt,
-          std::span<const double> lower, std::span<const double> upper)
-      : opt_(opt) {
+  Tableau(const LpModel& model, std::span<const double> lower,
+          std::span<const double> upper) {
     n_struct_ = model.num_vars();
     shift_.assign(n_struct_, 0.0);
     fixed_.assign(n_struct_, 0);
@@ -141,7 +140,6 @@ class Tableau {
 
   std::size_t num_rows() const { return basis_.size(); }
   std::size_t num_cols() const { return n_total_; }
-  std::size_t num_struct() const { return n_struct_; }
   std::size_t art_begin() const { return art_begin_; }
   bool is_fixed(std::size_t v) const { return fixed_[v] != 0; }
 
@@ -208,21 +206,6 @@ class Tableau {
     return x;
   }
 
-  // Structural variables currently basic, ascending (a deterministic order
-  // for warm-start hints).
-  std::vector<VarId> basic_struct_vars() const {
-    std::vector<VarId> out;
-    for (std::size_t r = 0; r < num_rows(); ++r) {
-      if (!row_active_[r]) continue;
-      const int b = basis_[r];
-      if (b >= 0 && static_cast<std::size_t>(b) < n_struct_) {
-        out.push_back(static_cast<VarId>(b));
-      }
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
  private:
   static Sense flipped(Sense s) {
     switch (s) {
@@ -236,7 +219,6 @@ class Tableau {
     return s;
   }
 
-  SimplexOptions opt_;
   std::size_t n_struct_ = 0;
   std::size_t n_total_ = 0;
   std::size_t art_begin_ = 0;
@@ -330,109 +312,9 @@ PhaseResult run_phase(Tableau& tab, std::vector<double>& cost,
   }
 }
 
-// Pre-phase-1 "crash": pivot the warm-start columns into the basis with
-// ordinary ratio-test pivots, so the rhs stays nonnegative and phase 1
-// remains valid. Rows whose basic variable is artificial are preferred as
-// the leaving row (each such pivot removes phase-1 work outright). Each
-// hint costs at most one pivot; unusable hints (fixed, already basic, or
-// no positive column entry) are skipped.
-void crash_basis(Tableau& tab, const std::vector<VarId>& warm,
-                 std::vector<double>& cost1, std::vector<double>& cost2,
-                 const SimplexOptions& opt, std::size_t& iterations) {
-  const bool has_deadline =
-      opt.deadline != std::chrono::steady_clock::time_point::max();
-  const std::size_t poll = std::max<std::size_t>(1, opt.deadline_poll_pivots);
-  std::vector<char> in_basis(tab.num_cols(), 0);
-  for (std::size_t r = 0; r < tab.num_rows(); ++r) {
-    const int b = tab.basis(r);
-    if (b >= 0) in_basis[static_cast<std::size_t>(b)] = 1;
-  }
-  for (const VarId v : warm) {
-    // A long warm-hint list is pivot work like any other: it honors the
-    // same deadline as run_phase, so crashing cannot overshoot the MIP
-    // time budget before phase 1 even starts.
-    if (has_deadline && iterations % poll == 0 &&
-        // apple-analyze: allow(ambient-time): same opt-in deadline escape
-        // hatch as run_phase below; never polled at the default deadline
-        std::chrono::steady_clock::now() >= opt.deadline) {
-      return;  // run_phase notices the deadline immediately after
-    }
-    if (v < 0 || static_cast<std::size_t>(v) >= tab.num_struct()) continue;
-    const auto col = static_cast<std::size_t>(v);
-    if (tab.is_fixed(col) || in_basis[col] != 0) continue;
-    std::size_t leave = tab.num_rows();
-    double best_ratio = kInf;
-    bool best_art = false;
-    for (std::size_t r = 0; r < tab.num_rows(); ++r) {
-      if (!tab.row_active(r)) continue;
-      const double a = tab.row_ptr(r)[col];
-      if (a <= opt.feasibility_eps) continue;
-      const double ratio = tab.rhs(r) / a;
-      const bool art = tab.basis(r) >= static_cast<int>(tab.art_begin());
-      const bool better =
-          ratio < best_ratio - 1e-12 ||
-          (ratio < best_ratio + 1e-12 &&
-           ((art && !best_art) ||
-            (art == best_art && leave < tab.num_rows() &&
-             tab.basis(r) < tab.basis(leave))));
-      if (better) {
-        best_ratio = ratio;
-        leave = r;
-        best_art = art;
-      }
-    }
-    if (leave == tab.num_rows()) continue;
-    const int old_basic = tab.basis(leave);
-    tab.pivot(leave, col, cost1, &cost2);
-    ++iterations;
-    if (old_basic >= 0) in_basis[static_cast<std::size_t>(old_basic)] = 0;
-    in_basis[col] = 1;
-  }
-}
-
-}  // namespace
-
-LpSolution SimplexSolver::solve(const LpModel& model) const {
-  return solve(model, SolveContext{});
-}
-
-LpSolution SimplexSolver::solve(const LpModel& model,
-                                const SolveContext& ctx) const {
-  options_.validate();
-  if (options_.algorithm != SimplexAlgorithm::kDense) {
-    // The revised solver instruments itself (same lp.simplex.* names), so
-    // this path must not add the wrapper counters: one solve, one count.
-    RevisedSimplex revised(model, options_);
-    LpSolution out = revised.solve(ctx.lower, ctx.upper);
-    if (options_.algorithm == SimplexAlgorithm::kAuto &&
-        revised.numerical_trouble()) {
-      return solve_dense(model, ctx);
-    }
-    if (ctx.want_basis && out.status == SolveStatus::kOptimal) {
-      const SimplexBasis& basis = revised.basis();
-      for (std::size_t v = 0; v < model.num_vars(); ++v) {
-        if (basis.status[v] == VarStatus::kBasic) {
-          out.basic_vars.push_back(static_cast<VarId>(v));
-        }
-      }
-    }
-    return out;
-  }
-  return solve_dense(model, ctx);
-}
-
-LpSolution SimplexSolver::solve_dense(const LpModel& model,
-                                      const SolveContext& ctx) const {
-  APPLE_OBS_SPAN("lp.simplex.solve_seconds");
-  LpSolution out = solve_impl(model, ctx);
-  APPLE_OBS_COUNT("lp.simplex.solves");
-  APPLE_OBS_COUNT_N("lp.simplex.iterations", out.iterations);
-  APPLE_OBS_OBSERVE_SIZE("lp.simplex.iterations_per_solve", out.iterations);
-  return out;
-}
-
-LpSolution SimplexSolver::solve_impl(const LpModel& model,
-                                     const SolveContext& ctx) const {
+// The uninstrumented two-phase solve behind solve_dense.
+LpSolution solve_tableau(const LpModel& model, const SolveContext& ctx,
+                         const SimplexOptions& options) {
   LpSolution out;
   const std::size_t n_vars = model.num_vars();
   APPLE_CHECK(ctx.lower.empty() || ctx.lower.size() == n_vars);
@@ -448,11 +330,11 @@ LpSolution SimplexSolver::solve_impl(const LpModel& model,
     }
   }
 
-  Tableau tab(model, options_, ctx.lower, ctx.upper);
+  Tableau tab(model, ctx.lower, ctx.upper);
   const std::size_t n_total = tab.num_cols();
   const std::size_t max_iters =
-      options_.max_iterations != 0
-          ? options_.max_iterations
+      options.max_iterations != 0
+          ? options.max_iterations
           : 200 + 40 * (tab.num_rows() + n_total);
 
   // Phase-2 cost row (true objective), kept in sync from the start. Fixed
@@ -483,12 +365,9 @@ LpSolution SimplexSolver::solve_impl(const LpModel& model,
   // objective), and structural vars are nonbasic, so cost2 is consistent.
 
   std::size_t iterations = 0;
-  if (ctx.warm_basis != nullptr && !ctx.warm_basis->empty()) {
-    crash_basis(tab, *ctx.warm_basis, cost1, cost2, options_, iterations);
-  }
   if (need_phase1) {
     const PhaseResult r1 = run_phase(tab, cost1, &cost2, tab.art_begin(),
-                                     options_, max_iters, iterations);
+                                     options, max_iters, iterations);
     if (r1 == PhaseResult::kIterationLimit) {
       out.status = SolveStatus::kIterationLimit;
       out.iterations = iterations;
@@ -523,7 +402,7 @@ LpSolution SimplexSolver::solve_impl(const LpModel& model,
   }
 
   const PhaseResult r2 = run_phase(tab, cost2, nullptr, tab.art_begin(),
-                                   options_, max_iters, iterations);
+                                   options, max_iters, iterations);
   out.iterations = iterations;
   switch (r2) {
     case PhaseResult::kUnbounded:
@@ -538,7 +417,34 @@ LpSolution SimplexSolver::solve_impl(const LpModel& model,
   out.status = SolveStatus::kOptimal;
   out.x = tab.extract_x();
   out.objective = model.objective_value(out.x);
-  if (ctx.want_basis) out.basic_vars = tab.basic_struct_vars();
+  return out;
+}
+
+}  // namespace
+
+LpSolution SimplexSolver::solve(const LpModel& model) const {
+  return solve(model, SolveContext{});
+}
+
+LpSolution SimplexSolver::solve(const LpModel& model,
+                                const SolveContext& ctx) const {
+  options_.validate();
+  // The revised solver instruments itself (same lp.simplex.* names), so
+  // only the fallback adds the dense counters.
+  RevisedSimplex revised(model, options_);
+  LpSolution out = revised.solve(ctx.lower, ctx.upper);
+  if (revised.numerical_trouble()) return solve_dense(model, ctx, options_);
+  return out;
+}
+
+LpSolution solve_dense(const LpModel& model, const SolveContext& ctx,
+                       const SimplexOptions& options) {
+  options.validate();
+  APPLE_OBS_SPAN("lp.simplex.solve_seconds");
+  LpSolution out = solve_tableau(model, ctx, options);
+  APPLE_OBS_COUNT("lp.simplex.solves");
+  APPLE_OBS_COUNT_N("lp.simplex.iterations", out.iterations);
+  APPLE_OBS_OBSERVE_SIZE("lp.simplex.iterations_per_solve", out.iterations);
   return out;
 }
 

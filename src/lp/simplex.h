@@ -1,9 +1,15 @@
-// LP-relaxation solver entry point: dispatches between the revised sparse
-// simplex (lp/revised_simplex.h, the default hot path) and the two-phase
-// primal simplex on a dense tableau implemented here, per
-// SimplexOptions::algorithm. The comments below describe the dense path;
-// it remains the reference implementation and the kAuto fallback when the
-// revised solver reports numerical trouble.
+// LP-relaxation solver entry points.
+//
+// `SimplexSolver` is the one production engine: every solve runs the
+// revised sparse simplex (lp/revised_simplex.h) and re-solves cold on the
+// dense tableau only when the revised solve reports numerical trouble. That
+// decision depends only on the solve's own deterministic arithmetic, so the
+// fallback keeps the determinism contract.
+//
+// `solve_dense` is the two-phase primal simplex on a dense tableau,
+// implemented here. It is the reference implementation: the numerical-
+// trouble fallback, the differential tests and bench_micro call it. The
+// comments below describe it.
 //
 // Solves the LP relaxation of an LpModel (integrality markers are ignored).
 // Designed for the sizes the APPLE Optimization Engine produces for small
@@ -17,10 +23,6 @@
 //   a finite, non-fixing upper bound costs one extra tableau row — so a
 //   B&B node's tableau no longer grows with tree depth, and branching on
 //   binaries *shrinks* the active column set.
-// * A warm-start hint: the structural variables basic in the parent node's
-//   optimum. They are crashed into the child's initial basis with
-//   feasibility-preserving pivots before phase 1, which typically removes
-//   most phase-1 work (the parent basis is near-feasible for the child).
 // * A hard deadline in SimplexOptions, polled every K pivots inside
 //   run_phase, so one long LP cannot overshoot the MIP time limit.
 //
@@ -36,19 +38,10 @@
 #include <chrono>
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "lp/model.h"
 
 namespace apple::lp {
-
-// Which simplex implementation a solve runs on.
-// * kAuto: the revised sparse simplex (lp/revised_simplex.h); if it
-//   reports numerical trouble the solve silently re-runs on the dense
-//   tableau. The fallback decision depends only on the solve's own
-//   deterministic arithmetic, so kAuto keeps the determinism contract.
-// * kDense / kRevised: force one implementation (tests, benchmarks).
-enum class SimplexAlgorithm { kAuto, kDense, kRevised };
 
 struct SimplexOptions {
   std::size_t max_iterations = 0;  // 0 = automatic (scales with model size)
@@ -62,7 +55,6 @@ struct SimplexOptions {
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
   std::size_t deadline_poll_pivots = 64;
-  SimplexAlgorithm algorithm = SimplexAlgorithm::kAuto;
   // Revised simplex: pivots between basis refactorizations (the eta chain
   // is discarded and B = LU recomputed; see lp/basis_lu.h).
   std::size_t refactor_interval = 64;
@@ -80,12 +72,6 @@ struct SolveContext {
   // the solve infeasible).
   std::span<const double> lower;
   std::span<const double> upper;
-  // Structural variables basic in a related solve (e.g. the parent B&B
-  // node), crashed into the initial basis. nullptr = cold start.
-  const std::vector<VarId>* warm_basis = nullptr;
-  // When true, the solution's `basic_vars` is filled on optimal exit so
-  // the caller can warm-start subsequent solves.
-  bool want_basis = false;
 };
 
 class SimplexSolver {
@@ -97,12 +83,12 @@ class SimplexSolver {
   LpSolution solve(const LpModel& model, const SolveContext& ctx) const;
 
  private:
-  // The dense-tableau path with its obs span/counters (lp.simplex.* — see
-  // DESIGN.md Sec. 7) around the uninstrumented solve_impl.
-  LpSolution solve_dense(const LpModel& model, const SolveContext& ctx) const;
-  LpSolution solve_impl(const LpModel& model, const SolveContext& ctx) const;
-
   SimplexOptions options_;
 };
+
+// The dense-tableau reference solve, recorded under the same lp.simplex.*
+// span and counters as the revised engine (DESIGN.md Sec. 7).
+LpSolution solve_dense(const LpModel& model, const SolveContext& ctx = {},
+                       const SimplexOptions& options = {});
 
 }  // namespace apple::lp

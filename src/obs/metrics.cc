@@ -29,23 +29,6 @@ bool valid_instrument_name(std::string_view name) {
   return has_dot && name.front() != '.' && name.back() != '.';
 }
 
-namespace {
-
-class StdRegistryMutex final : public RegistryMutex {
- public:
-  void lock() override { mutex_.lock(); }
-  void unlock() override { mutex_.unlock(); }
-
- private:
-  std::mutex mutex_;
-};
-
-}  // namespace
-
-std::unique_ptr<RegistryMutex> make_std_registry_mutex() {
-  return std::make_unique<StdRegistryMutex>();
-}
-
 // --- Histogram ---------------------------------------------------------------
 
 Histogram::Histogram(std::vector<double> upper_bounds)
@@ -174,25 +157,10 @@ std::vector<double> default_size_buckets() {
 
 // --- MetricsRegistry ---------------------------------------------------------
 
-class MetricsRegistry::Guard {
- public:
-  explicit Guard(RegistryMutex* mutex) : mutex_(mutex) {
-    if (mutex_ != nullptr) mutex_->lock();
-  }
-  ~Guard() {
-    if (mutex_ != nullptr) mutex_->unlock();
-  }
-  Guard(const Guard&) = delete;
-  Guard& operator=(const Guard&) = delete;
-
- private:
-  RegistryMutex* mutex_;
-};
-
 MetricsRegistry::MetricsRegistry() : clock_(&steady_clock_seconds) {}
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  Guard guard(mutex_.get());
+  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = counters_.find(name);
   if (it != counters_.end()) return it->second;
   APPLE_CHECK(valid_instrument_name(name));
@@ -202,7 +170,7 @@ Counter& MetricsRegistry::counter(std::string_view name) {
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  Guard guard(mutex_.get());
+  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = gauges_.find(name);
   if (it != gauges_.end()) return it->second;
   APPLE_CHECK(valid_instrument_name(name));
@@ -215,7 +183,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> bounds) {
-  Guard guard(mutex_.get());
+  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return it->second;
   APPLE_CHECK(valid_instrument_name(name));
@@ -230,12 +198,8 @@ void MetricsRegistry::set_clock(Clock clock) {
   clock_ = std::move(clock);
 }
 
-void MetricsRegistry::set_mutex(std::unique_ptr<RegistryMutex> mutex) {
-  mutex_ = std::move(mutex);
-}
-
 void MetricsRegistry::reset_values() {
-  Guard guard(mutex_.get());
+  const std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, c] : counters_) c.reset();
   for (auto& [name, g] : gauges_) g.reset();
   for (auto& [name, h] : histograms_) h.reset();
@@ -329,14 +293,8 @@ void MetricsRegistry::for_each_histogram(
 }
 
 MetricsRegistry& default_registry() {
-  // The process-wide registry always carries a real mutex: the APPLE_OBS_*
-  // macros resolve instruments from whatever thread first reaches a call
-  // site, including exec-pool workers.
-  static struct DefaultRegistry {
-    DefaultRegistry() { registry.set_mutex(make_std_registry_mutex()); }
-    MetricsRegistry registry;
-  } holder;
-  return holder.registry;
+  static MetricsRegistry registry;
+  return registry;
 }
 
 }  // namespace apple::obs

@@ -21,12 +21,10 @@
 // Thread-safety: instruments are safe to update from concurrent threads —
 // `Counter` and `Gauge` are lock-free atomics (relaxed ordering: totals are
 // exact, cross-instrument ordering is not promised), `Histogram` serializes
-// observations behind an internal mutex. The registry's name->instrument
-// map is guarded by a pluggable `RegistryMutex`; `default_registry()`
-// installs `make_std_registry_mutex()` so the APPLE_OBS_* macros can
-// resolve instruments from worker threads (the exec pool and the parallel
-// MIP engine do). Bare registries default to no mutex — install one before
-// sharing them across threads.
+// observations behind an internal mutex. Every registry's name->instrument
+// map is guarded by the registry's own mutex, so the APPLE_OBS_* macros and
+// direct lookups may resolve instruments from worker threads (the exec pool
+// and the parallel MIP engine do).
 //
 // Zero-cost switch: the `APPLE_OBS_*` macros in obs/obs.h compile to
 // nothing (arguments type-checked, never evaluated) when the tree is built
@@ -38,7 +36,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -169,19 +166,6 @@ class Histogram {
 std::vector<double> default_time_buckets_seconds();
 std::vector<double> default_size_buckets();
 
-// Pluggable registry lock guarding the name->instrument map. Bare
-// registries run with no mutex (null); `default_registry()` installs
-// make_std_registry_mutex() so instrument resolution is safe from worker
-// threads. Install one on any registry shared across threads.
-class RegistryMutex {
- public:
-  virtual ~RegistryMutex() = default;
-  virtual void lock() = 0;
-  virtual void unlock() = 0;
-};
-
-std::unique_ptr<RegistryMutex> make_std_registry_mutex();
-
 class TraceSink;  // obs/trace.h
 
 class MetricsRegistry {
@@ -213,8 +197,6 @@ class MetricsRegistry {
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
   TraceSink* trace_sink() const { return trace_sink_; }
 
-  void set_mutex(std::unique_ptr<RegistryMutex> mutex);
-
   // Zeroes every instrument, keeping the objects (cached references stay
   // valid). Used by tests and between bench repetitions.
   void reset_values();
@@ -238,8 +220,6 @@ class MetricsRegistry {
       const;
 
  private:
-  class Guard;  // RAII over the optional mutex
-
   // std::map: node-based, so instrument references are stable across
   // inserts. Heterogeneous lookup avoids a string copy per cache miss.
   std::map<std::string, Counter, std::less<>> counters_;
@@ -247,7 +227,7 @@ class MetricsRegistry {
   std::map<std::string, Histogram, std::less<>> histograms_;
   Clock clock_;
   TraceSink* trace_sink_ = nullptr;
-  std::unique_ptr<RegistryMutex> mutex_;
+  std::mutex mutex_;  // guards the three maps on lookup and reset
 };
 
 // Process-wide registry the APPLE_OBS_* macros write to. Benches and

@@ -6,12 +6,8 @@
 // the registry — also emits a complete ("ph":"X") Chrome trace event. The
 // resulting file loads directly into chrome://tracing / Perfetto.
 //
-// `ScopedTimer` is the histogram-only variant with an explicit clock, for
-// call sites that do not want registry coupling (e.g. timing against sim
-// time).
-//
 // Timestamps are never taken from an ambient clock: everything flows from
-// the registry clock or the caller-supplied Clock. Simulation code that
+// the registry clock. Simulation code that
 // wants spans on the sim timeline injects the sim clock into its registry
 // (or records into the sink directly via record()).
 #pragma once
@@ -73,21 +69,6 @@ class TraceSpan {
  private:
   MetricsRegistry* registry_;
   const char* name_;
-  double start_;
-};
-
-// RAII timer over an explicit clock; records into `hist` only.
-class ScopedTimer {
- public:
-  ScopedTimer(Histogram& hist, Clock clock)
-      : hist_(&hist), clock_(std::move(clock)), start_(clock_()) {}
-  ~ScopedTimer() { hist_->observe(clock_() - start_); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* hist_;
-  Clock clock_;
   double start_;
 };
 

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -156,70 +155,6 @@ TEST(ThreadPoolTest, StatsCountEveryTask) {
   const ThreadPool::Stats stats = pool.stats();
   EXPECT_EQ(stats.tasks_executed, kTasks);
   EXPECT_GE(stats.queue_depth_high_water, 1u);
-}
-
-TEST(ThreadPoolTest, ParallelChunksBoundariesAreExact) {
-  ThreadPool pool(3);
-  // 10 over 4 chunks: sizes 3,3,2,2 — the +1 remainder goes to the leading
-  // chunks, boundaries contiguous.
-  std::vector<std::pair<std::size_t, std::size_t>> slices(4);
-  parallel_chunks(pool, 5, 15, 4,
-                  [&slices](std::size_t c, std::size_t lo, std::size_t hi) {
-                    slices[c] = {lo, hi};
-                  });
-  EXPECT_EQ(slices[0], (std::pair<std::size_t, std::size_t>{5, 8}));
-  EXPECT_EQ(slices[1], (std::pair<std::size_t, std::size_t>{8, 11}));
-  EXPECT_EQ(slices[2], (std::pair<std::size_t, std::size_t>{11, 13}));
-  EXPECT_EQ(slices[3], (std::pair<std::size_t, std::size_t>{13, 15}));
-}
-
-TEST(ThreadPoolTest, ParallelChunksBoundariesIgnoreWorkerCount) {
-  // The chunk boundaries are a pure function of (range, chunks): pools of
-  // different widths must produce identical slices — that invariance is
-  // what makes chunk-indexed output buffers worker-count-deterministic.
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> runs;
-  for (const std::size_t threads : {0u, 1u, 3u, 7u}) {
-    ThreadPool pool(threads);
-    std::vector<std::pair<std::size_t, std::size_t>> slices(6);
-    parallel_chunks(pool, 0, 1000, 6,
-                    [&slices](std::size_t c, std::size_t lo, std::size_t hi) {
-                      slices[c] = {lo, hi};
-                    });
-    runs.push_back(std::move(slices));
-  }
-  for (std::size_t i = 1; i < runs.size(); ++i) EXPECT_EQ(runs[i], runs[0]);
-}
-
-TEST(ThreadPoolTest, ParallelChunksEmptyTrailingSlices) {
-  ThreadPool pool(2);
-  std::vector<std::pair<std::size_t, std::size_t>> slices(5);
-  std::atomic<int> calls{0};
-  parallel_chunks(pool, 0, 3, 5,
-                  [&](std::size_t c, std::size_t lo, std::size_t hi) {
-                    slices[c] = {lo, hi};
-                    calls.fetch_add(1);
-                  });
-  // Every chunk is invoked, the last two with lo == hi.
-  EXPECT_EQ(calls.load(), 5);
-  EXPECT_EQ(slices[2], (std::pair<std::size_t, std::size_t>{2, 3}));
-  EXPECT_EQ(slices[3], (std::pair<std::size_t, std::size_t>{3, 3}));
-  EXPECT_EQ(slices[4], (std::pair<std::size_t, std::size_t>{3, 3}));
-}
-
-TEST(ThreadPoolTest, ParallelChunksCoversRangeOnceAndRethrows) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  parallel_chunks(pool, 0, hits.size(), 8,
-                  [&hits](std::size_t, std::size_t lo, std::size_t hi) {
-                    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-                  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_THROW(
-      parallel_chunks(pool, 0, 64, 8,
-                      [](std::size_t c, std::size_t, std::size_t) {
-                        if (c == 5) throw std::runtime_error("chunk failed");
-                      }),
-      std::runtime_error);
 }
 
 TEST(ThreadPoolTest, CurrentWorkerIndexDistinguishesPoolThreads) {

@@ -116,54 +116,6 @@ TEST_F(AtomicTest, AtomOfPointRejectsEmpty) {
   EXPECT_THROW(atom_of_point(mgr_, atoms, kBddFalse), std::invalid_argument);
 }
 
-TEST_F(AtomicTest, ParallelRefinementMatchesSerialExactly) {
-  std::mt19937_64 rng(11);
-  std::uniform_int_distribution<std::uint32_t> ip(0, 0xffffffffu);
-  std::uniform_int_distribution<std::uint32_t> plen(4, 20);
-  std::vector<BddRef> preds;
-  for (int i = 0; i < 24; ++i) {
-    const BddRef p = mgr_.apply_and(b_.prefix(Field::kSrcIp, ip(rng), plen(rng)),
-                                    b_.prefix(Field::kDstIp, ip(rng), plen(rng)));
-    if (!mgr_.is_false(p)) preds.push_back(p);
-  }
-  ASSERT_GE(preds.size(), 16u);
-  const AtomicPredicates serial = compute_atomic_predicates(mgr_, preds);
-  for (const std::size_t workers : {2u, 3u, 4u, 8u}) {
-    AtomicOptions opt;
-    opt.num_workers = workers;
-    const AtomicPredicates parallel =
-        compute_atomic_predicates(mgr_, preds, opt);
-    // Same atoms, same order, same memberships — refs are hash-consed in
-    // one shared manager, so EQ means identical BDDs.
-    EXPECT_EQ(parallel.atoms, serial.atoms) << workers << " workers";
-    EXPECT_EQ(parallel.membership, serial.membership) << workers << " workers";
-  }
-}
-
-TEST_F(AtomicTest, ParallelPathHandlesDegenerateSlices) {
-  // Fewer predicates than workers: trailing slices are empty and the merge
-  // must still reproduce the serial result.
-  const std::vector<BddRef> preds{
-      b_.cidr(Field::kSrcIp, "10.0.0.0/8"),
-      b_.exact(Field::kProto, 6),
-  };
-  const AtomicPredicates serial = compute_atomic_predicates(mgr_, preds);
-  AtomicOptions opt;
-  opt.num_workers = 8;
-  const AtomicPredicates parallel = compute_atomic_predicates(mgr_, preds, opt);
-  EXPECT_EQ(parallel.atoms, serial.atoms);
-  EXPECT_EQ(parallel.membership, serial.membership);
-}
-
-TEST_F(AtomicTest, OptionsRejectZeroWorkers) {
-  AtomicOptions opt;
-  opt.num_workers = 0;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  const std::vector<BddRef> preds{b_.cidr(Field::kSrcIp, "10.0.0.0/8")};
-  EXPECT_THROW(compute_atomic_predicates(mgr_, preds, opt),
-               std::invalid_argument);
-}
-
 // Property sweep: random predicate sets keep the partition invariants.
 class AtomicRandomSweep : public ::testing::TestWithParam<int> {};
 

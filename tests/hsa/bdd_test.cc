@@ -4,9 +4,6 @@
 
 #include <random>
 #include <stdexcept>
-#include <string>
-
-#include "common/check.h"
 
 namespace apple::hsa {
 namespace {
@@ -69,36 +66,6 @@ TEST(Bdd, ImpliesAndDisjoint) {
   EXPECT_FALSE(mgr.implies(x, xy));
   EXPECT_TRUE(mgr.disjoint(x, mgr.negate(x)));
   EXPECT_FALSE(mgr.disjoint(x, y));
-}
-
-TEST(Bdd, PortableExportImportRoundTrips) {
-  BddManager a(6);
-  const BddRef f = a.apply_or(a.apply_and(a.var(0), a.nvar(3)),
-                              a.apply_and(a.var(2), a.var(5)));
-  // Same-manager round trip hash-conses back to the identical ref.
-  EXPECT_EQ(a.import_bdd(a.export_bdd(f)), f);
-  // Cross-manager transfer preserves semantics: same sat count, and the
-  // re-exported DAG re-imports into the origin as the original ref.
-  BddManager b(6);
-  const BddRef g = b.import_bdd(a.export_bdd(f));
-  EXPECT_DOUBLE_EQ(b.sat_count(g), a.sat_count(f));
-  EXPECT_EQ(a.import_bdd(b.export_bdd(g)), f);
-  // Terminals survive without nodes.
-  const auto t = a.export_bdd(kBddTrue);
-  EXPECT_TRUE(t.nodes.empty());
-  EXPECT_EQ(b.import_bdd(t), kBddTrue);
-}
-
-TEST(Bdd, ImportRejectsVarCountMismatch) {
-  // APPLE_CHECK fires on the mismatch; rethrow it so the case is testable
-  // without a death-test fork.
-  const auto previous = common::set_check_failure_handler(
-      [](const std::string& message) { throw std::runtime_error(message); });
-  BddManager a(6);
-  BddManager b(4);
-  const auto p = a.export_bdd(a.var(1));
-  EXPECT_THROW(b.import_bdd(p), std::runtime_error);
-  common::set_check_failure_handler(previous);
 }
 
 TEST(Bdd, SatCount) {

@@ -4,6 +4,7 @@
 // "does the system as a whole uphold the paper's three properties" tests.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
 #include "baselines/ingress.h"
@@ -19,6 +20,11 @@ struct TopoParam {
   net::Topology (*make)(double);
   double total_mbps;
 };
+
+// gtest puts the printed parameter into each test's listed name. Its default
+// printer dumps the struct's bytes, pointers included, so the name would
+// change with every address-space layout; print the label instead.
+void PrintTo(const TopoParam& param, std::ostream* os) { *os << param.label; }
 
 class PipelineOnTopology : public ::testing::TestWithParam<TopoParam> {};
 

@@ -1,7 +1,7 @@
 // Worker-count parity and determinism of the parallel branch-and-bound
 // engine: any num_workers must produce the same status and objective as the
-// serial path, and in deterministic mode the identical incumbent and node
-// count on repeated runs with a fixed worker count.
+// serial path, and the identical incumbent and node count on repeated runs
+// with a fixed worker count.
 #include <cmath>
 #include <random>
 #include <vector>
@@ -15,11 +15,9 @@ namespace {
 
 constexpr std::size_t kWorkerCounts[] = {1, 2, 4, 8};
 
-MipResult solve_with(const LpModel& m, std::size_t workers,
-                     bool deterministic = true) {
+MipResult solve_with(const LpModel& m, std::size_t workers) {
   MipOptions opt;
   opt.num_workers = workers;
-  opt.deterministic = deterministic;
   return MipSolver(opt).solve(m);
 }
 
@@ -120,19 +118,6 @@ TEST_P(MipParallelSweep, DeterministicModeRepeatsBitwise) {
     EXPECT_EQ(a.objective, b.objective) << "workers=" << w;  // bitwise
     EXPECT_EQ(a.nodes_explored, b.nodes_explored) << "workers=" << w;
     EXPECT_EQ(a.x, b.x) << "workers=" << w;  // identical incumbent
-  }
-}
-
-TEST_P(MipParallelSweep, NonDeterministicModeKeepsObjectiveParity) {
-  const LpModel m = random_set_cover(static_cast<std::uint64_t>(GetParam()));
-  const MipResult serial = solve_with(m, 1);
-  ASSERT_EQ(serial.status, SolveStatus::kOptimal);
-  for (const std::size_t w : kWorkerCounts) {
-    const MipResult r = solve_with(m, w, /*deterministic=*/false);
-    ASSERT_EQ(r.status, SolveStatus::kOptimal) << "workers=" << w;
-    // Tree shape may be timing-dependent, the optimum is not.
-    EXPECT_NEAR(r.objective, serial.objective, 1e-5) << "workers=" << w;
-    EXPECT_LE(m.max_violation(r.x), 1e-6) << "workers=" << w;
   }
 }
 

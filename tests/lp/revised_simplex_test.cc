@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -18,16 +19,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-SimplexOptions dense_options() {
-  SimplexOptions opt;
-  opt.algorithm = SimplexAlgorithm::kDense;
-  return opt;
-}
-
-SimplexOptions revised_options() {
-  SimplexOptions opt;
-  opt.algorithm = SimplexAlgorithm::kRevised;
-  return opt;
+// The revised engine alone, without SimplexSolver's dense fallback: a
+// solve that fell back would make the parity checks below compare the
+// dense tableau with itself.
+LpSolution solve_revised(const LpModel& m, const SolveContext& ctx = {}) {
+  RevisedSimplex solver(m, SimplexOptions{});
+  LpSolution out = solver.solve(ctx.lower, ctx.upper);
+  EXPECT_FALSE(solver.numerical_trouble());
+  return out;
 }
 
 // Random feasible transportation LP: sources ship to sinks, supply equals
@@ -98,7 +97,7 @@ TEST(RevisedSimplex, TextbookParityWithDense) {
   m.add_row(Sense::kLessEqual, 4.0, {{x, 1.0}});
   m.add_row(Sense::kLessEqual, 12.0, {{y, 2.0}});
   m.add_row(Sense::kLessEqual, 18.0, {{x, 3.0}, {y, 2.0}});
-  const LpSolution s = SimplexSolver(revised_options()).solve(m);
+  const LpSolution s = solve_revised(m);
   ASSERT_TRUE(s.optimal());
   EXPECT_NEAR(s.objective, -36.0, 1e-9);
   EXPECT_NEAR(s.x[x], 2.0, 1e-9);
@@ -110,8 +109,8 @@ class RevisedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RevisedSweep, TransportationParityWithDense) {
   std::mt19937_64 rng(GetParam());
   const LpModel m = make_transportation(rng, 4, 5);
-  const LpSolution dense = SimplexSolver(dense_options()).solve(m);
-  const LpSolution revised = SimplexSolver(revised_options()).solve(m);
+  const LpSolution dense = solve_dense(m);
+  const LpSolution revised = solve_revised(m);
   ASSERT_EQ(dense.status, revised.status);
   ASSERT_TRUE(revised.optimal());
   EXPECT_NEAR(dense.objective, revised.objective, 1e-6);
@@ -121,8 +120,8 @@ TEST_P(RevisedSweep, TransportationParityWithDense) {
 TEST_P(RevisedSweep, MixedRowParityWithDense) {
   std::mt19937_64 rng(GetParam() * 977 + 13);
   const LpModel m = make_mixed_rows(rng, 12, 10);
-  const LpSolution dense = SimplexSolver(dense_options()).solve(m);
-  const LpSolution revised = SimplexSolver(revised_options()).solve(m);
+  const LpSolution dense = solve_dense(m);
+  const LpSolution revised = solve_revised(m);
   ASSERT_EQ(dense.status, revised.status);
   if (dense.optimal()) {
     EXPECT_NEAR(dense.objective, revised.objective, 1e-6);
@@ -146,8 +145,8 @@ TEST_P(RevisedSweep, BoundOverlayParityWithDense) {
   SolveContext ctx;
   ctx.lower = lower;
   ctx.upper = upper;
-  const LpSolution dense = SimplexSolver(dense_options()).solve(m, ctx);
-  const LpSolution revised = SimplexSolver(revised_options()).solve(m, ctx);
+  const LpSolution dense = solve_dense(m, ctx);
+  const LpSolution revised = solve_revised(m, ctx);
   ASSERT_EQ(dense.status, revised.status);
   if (dense.optimal()) {
     EXPECT_NEAR(dense.objective, revised.objective, 1e-6);
@@ -167,7 +166,7 @@ TEST(RevisedSimplex, InfeasibleModelDetected) {
   const VarId y = m.add_var(1.0);
   m.add_row(Sense::kLessEqual, 1.0, {{x, 1.0}, {y, 1.0}});
   m.add_row(Sense::kGreaterEqual, 3.0, {{x, 1.0}, {y, 1.0}});
-  const LpSolution s = SimplexSolver(revised_options()).solve(m);
+  const LpSolution s = solve_revised(m);
   EXPECT_EQ(s.status, SolveStatus::kInfeasible);
 }
 
@@ -176,7 +175,7 @@ TEST(RevisedSimplex, UnboundedModelDetected) {
   const VarId x = m.add_var(-1.0);
   const VarId y = m.add_var(0.0);
   m.add_row(Sense::kLessEqual, 0.0, {{x, 1.0}, {y, -1.0}});
-  const LpSolution s = SimplexSolver(revised_options()).solve(m);
+  const LpSolution s = solve_revised(m);
   EXPECT_EQ(s.status, SolveStatus::kUnbounded);
 }
 
@@ -189,7 +188,7 @@ TEST(RevisedSimplex, CrossedOverlayBoundsAreInfeasible) {
   SolveContext ctx;
   ctx.lower = lower;
   ctx.upper = upper;
-  const LpSolution s = SimplexSolver(revised_options()).solve(m, ctx);
+  const LpSolution s = solve_revised(m, ctx);
   EXPECT_EQ(s.status, SolveStatus::kInfeasible);
 }
 
@@ -274,7 +273,6 @@ TEST(RevisedSimplex, ExpiredDeadlineStopsBeforePricing) {
   std::mt19937_64 rng(9);
   const LpModel m = make_transportation(rng, 5, 5);
   SimplexOptions opt;
-  opt.algorithm = SimplexAlgorithm::kRevised;
   opt.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
   const LpSolution s = SimplexSolver(opt).solve(m);
   EXPECT_EQ(s.status, SolveStatus::kIterationLimit);
@@ -288,7 +286,6 @@ TEST(RevisedSimplex, DeadlineHonoredWithinToleranceOnLargeLp) {
   std::mt19937_64 rng(1234);
   const LpModel m = make_transportation(rng, 40, 40);  // 1600 cols, 80 rows
   SimplexOptions opt;
-  opt.algorithm = SimplexAlgorithm::kRevised;
   opt.deadline_poll_pivots = 16;
   const auto start = std::chrono::steady_clock::now();
   opt.deadline = start + std::chrono::milliseconds(30);
@@ -305,8 +302,54 @@ TEST(RevisedSimplex, DeadlineHonoredWithinToleranceOnLargeLp) {
   }
 }
 
-// MIP parity: the revised+dual default must reproduce the dense engine's
-// answers for every worker count, and the dual warm restart must engage.
+// Independent MIP reference for a covering model (nonnegative
+// coefficients, >= rows, positive costs): every integer variable is
+// bounded by the value at which it alone satisfies each row it appears in
+// (more only adds cost), so enumerating all integer assignments in that
+// box and solving each continuous remainder on the dense tableau finds
+// the optimum without any branch-and-bound.
+double enumerated_covering_optimum(const LpModel& m) {
+  const std::size_t n = m.num_vars();
+  std::vector<VarId> ints;
+  std::vector<double> cap(n, 0.0);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (m.var(static_cast<VarId>(v)).integer) {
+      ints.push_back(static_cast<VarId>(v));
+    }
+  }
+  for (const Row& row : m.rows()) {
+    for (const auto& [v, coef] : row.terms) {
+      double& c = cap[static_cast<std::size_t>(v)];
+      c = std::max(c, std::ceil(row.rhs / coef));
+    }
+  }
+  std::vector<double> lower(n, 0.0);
+  std::vector<double> upper(n, kInf);
+  for (const VarId v : ints) upper[static_cast<std::size_t>(v)] = 0.0;
+  double best = kInf;
+  while (true) {
+    SolveContext ctx;
+    ctx.lower = lower;
+    ctx.upper = upper;
+    const LpSolution rest = solve_dense(m, ctx);
+    if (rest.optimal()) best = std::min(best, rest.objective);
+    // Odometer step over the integer box.
+    std::size_t k = 0;
+    for (; k < ints.size(); ++k) {
+      const auto v = static_cast<std::size_t>(ints[k]);
+      if (lower[v] < cap[v]) {
+        lower[v] = upper[v] = lower[v] + 1.0;
+        break;
+      }
+      lower[v] = upper[v] = 0.0;
+    }
+    if (k == ints.size()) return best;
+  }
+}
+
+// MIP parity: the revised engine with dual warm restarts must reproduce the
+// enumerated optimum for every worker count, and the dual warm restart
+// must engage.
 TEST(RevisedSimplex, MipParityAcrossWorkersAndDualEngagement) {
   std::mt19937_64 rng(77);
   LpModel m;
@@ -324,23 +367,19 @@ TEST(RevisedSimplex, MipParityAcrossWorkersAndDualEngagement) {
     m.add_row(Sense::kGreaterEqual, sum * 0.9, terms);
   }
 
-  MipOptions dense_mip;
-  dense_mip.simplex.algorithm = SimplexAlgorithm::kDense;
-  const MipResult reference = MipSolver(dense_mip).solve(m);
+  const double reference = enumerated_covering_optimum(m);
+  ASSERT_LT(reference, kInf);
 
 #if defined(APPLE_ENABLE_METRICS) && APPLE_ENABLE_METRICS
   const std::uint64_t dual_before =
       obs::default_registry().counter("lp.simplex.dual_pivots").value();
 #endif
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    MipOptions mip;  // default: kAuto -> revised with dual warm restarts
+    MipOptions mip;
     mip.num_workers = workers;
     const MipResult got = MipSolver(mip).solve(m);
-    ASSERT_EQ(got.status, reference.status) << "workers=" << workers;
-    if (reference.status == SolveStatus::kOptimal) {
-      EXPECT_NEAR(got.objective, reference.objective, 1e-6)
-          << "workers=" << workers;
-    }
+    ASSERT_EQ(got.status, SolveStatus::kOptimal) << "workers=" << workers;
+    EXPECT_NEAR(got.objective, reference, 1e-6) << "workers=" << workers;
   }
 #if defined(APPLE_ENABLE_METRICS) && APPLE_ENABLE_METRICS
   const std::uint64_t dual_after =

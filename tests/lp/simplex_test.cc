@@ -243,33 +243,6 @@ TEST(SimplexBounds, CrossedBoundsAreInfeasible) {
   EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
 }
 
-TEST(SimplexBounds, WarmBasisReproducesColdOptimum) {
-  VarId x, y;
-  const LpModel m = textbook(x, y);
-  SolveContext first;
-  first.want_basis = true;
-  const LpSolution cold = SimplexSolver().solve(m, first);
-  ASSERT_TRUE(cold.optimal());
-  ASSERT_FALSE(cold.basic_vars.empty());
-  SolveContext warm;
-  warm.warm_basis = &cold.basic_vars;
-  const LpSolution hot = SimplexSolver().solve(m, warm);
-  ASSERT_TRUE(hot.optimal());
-  EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
-}
-
-TEST(SimplexBounds, BasisOnlyReportedWhenRequested) {
-  VarId x, y;
-  const LpModel m = textbook(x, y);
-  const LpSolution plain = SimplexSolver().solve(m);
-  EXPECT_TRUE(plain.basic_vars.empty());
-  SolveContext ctx;
-  ctx.want_basis = true;
-  const LpSolution with = SimplexSolver().solve(m, ctx);
-  ASSERT_TRUE(with.optimal());
-  EXPECT_FALSE(with.basic_vars.empty());
-}
-
 TEST(SimplexDeadline, ExpiredDeadlineStopsTheSolve) {
   VarId x, y;
   const LpModel m = textbook(x, y);

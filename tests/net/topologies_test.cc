@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "net/routing.h"
 
 namespace apple::net {
@@ -14,6 +16,11 @@ struct TopoCase {
   std::size_t nodes;
   std::size_t links;
 };
+
+// gtest puts the printed parameter into each test's listed name. Its default
+// printer dumps the struct's bytes, pointers included, so the name would
+// change with every address-space layout; print the label instead.
+void PrintTo(const TopoCase& tc, std::ostream* os) { *os << tc.label; }
 
 class EvaluationTopologies : public ::testing::TestWithParam<TopoCase> {};
 

@@ -1,4 +1,4 @@
-// TraceSpan/ScopedTimer semantics against an injected clock, Chrome
+// TraceSpan semantics against an injected clock, Chrome
 // trace-event serialization round-trip, and APPLE_TRACE env parsing.
 #include "obs/trace.h"
 
@@ -164,18 +164,6 @@ TEST(TraceSink, ConcurrentSpansFromPoolWorkersAllLand) {
             static_cast<std::size_t>(kTasks * kSpansPerTask));
   EXPECT_EQ(reg.histogram("obs.test.pool_span_seconds").count(),
             static_cast<std::uint64_t>(kTasks * kSpansPerTask));
-}
-
-TEST(ScopedTimer, RecordsAgainstExplicitClock) {
-  Histogram h({0.1, 1.0, 10.0});
-  double t = 0.0;
-  {
-    ScopedTimer timer(h, Clock([&t] { return t; }));
-    t = 0.5;
-  }
-  ASSERT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5);
-  EXPECT_EQ(h.counts()[1], 1u);  // lands in the (0.1, 1] bucket
 }
 
 class ScopedTraceEnv {

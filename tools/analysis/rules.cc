@@ -70,7 +70,7 @@ const std::map<std::string, std::set<std::string>>& layering_dag() {
       {"lp", {"common", "obs", "exec"}},
       {"traffic", {"common", "obs", "net", "exec"}},
       {"vnf", {"common", "obs", "net"}},
-      {"hsa", {"common", "obs", "net", "traffic", "exec"}},
+      {"hsa", {"common", "obs", "net", "traffic"}},
       {"orch", {"common", "obs", "net", "vnf"}},
       {"dataplane", {"common", "obs", "net", "traffic", "vnf", "hsa"}},
       {"sim", {"common", "obs", "net", "vnf", "traffic", "hsa", "dataplane"}},
@@ -78,8 +78,8 @@ const std::map<std::string, std::set<std::string>>& layering_dag() {
        {"common", "obs", "net", "traffic", "vnf", "hsa", "dataplane", "orch",
         "sim"}},
       {"core",
-       {"common", "obs", "exec", "net", "traffic", "hsa", "lp", "vnf",
-        "dataplane", "orch", "sim", "fault"}},
+       {"common", "obs", "net", "traffic", "hsa", "lp", "vnf", "dataplane",
+        "orch", "sim", "fault"}},
       {"ctrl",
        {"common", "obs", "exec", "net", "traffic", "hsa", "lp", "vnf",
         "dataplane", "orch", "sim", "fault", "core"}},

@@ -42,7 +42,6 @@ struct Options {
   double total_mbps = 6000.0;
   std::size_t snapshots = 32;
   std::string strategy = "greedy";
-  std::string simplex = "auto";
   std::size_t workers = 1;
   bool failover = true;
   double policied = 0.5;
@@ -64,8 +63,9 @@ void usage() {
       "  --total-mbps <x>                          synthetic load (default 6000)\n"
       "  --snapshots <n>                           synthetic snapshots (default 32; 0 = no replay)\n"
       "  --strategy greedy|lp-round|exact          placement strategy\n"
-      "  --simplex auto|dense|revised              LP engine for lp-round/exact (default auto)\n"
-      "  --workers <n>                             parallel B&B workers for exact (default 1)\n"
+      "  --workers <n>                             worker lanes (default 1): B&B nodes per\n"
+      "                                            round for exact, the class build under\n"
+      "                                            --scale-classes, the --domains fan-out\n"
       "  --no-failover                             disable the Dynamic Handler\n"
       "  --policied <f>                            policied OD fraction (default 0.5)\n"
       "  --reoptimize <n>                          re-run the engine every n snapshots\n"
@@ -135,10 +135,6 @@ std::optional<Options> parse(int argc, char** argv) {
       const char* v = value();
       if (!v) return std::nullopt;
       opt.strategy = v;
-    } else if (arg == "--simplex") {
-      const char* v = value();
-      if (!v) return std::nullopt;
-      opt.simplex = v;
     } else if (arg == "--workers") {
       const char* v = value();
       if (!v) return std::nullopt;
@@ -208,13 +204,6 @@ core::PlacementStrategy strategy_of(const std::string& name) {
   if (name == "lp-round") return core::PlacementStrategy::kLpRound;
   if (name == "exact") return core::PlacementStrategy::kExact;
   throw std::runtime_error("unknown strategy " + name);
-}
-
-lp::SimplexAlgorithm simplex_of(const std::string& name) {
-  if (name == "auto") return lp::SimplexAlgorithm::kAuto;
-  if (name == "dense") return lp::SimplexAlgorithm::kDense;
-  if (name == "revised") return lp::SimplexAlgorithm::kRevised;
-  throw std::runtime_error("unknown simplex engine " + name);
 }
 
 }  // namespace
@@ -339,10 +328,6 @@ int main(int argc, char** argv) {
     core::ControllerConfig cfg;
     cfg.engine.strategy = strategy_of(opt->strategy);
     cfg.engine.mip.num_workers = opt->workers;
-    // One knob drives both LP entry points: the exact path's node LPs and
-    // the lp-round relaxation (see lp/simplex.h SimplexAlgorithm).
-    cfg.engine.mip.simplex.algorithm = simplex_of(opt->simplex);
-    cfg.engine.simplex.algorithm = cfg.engine.mip.simplex.algorithm;
     cfg.policied_fraction = opt->policied;
     cfg.reoptimize_every = opt->reoptimize;
     cfg.snapshot_duration = 0.5;
