@@ -66,26 +66,6 @@ std::uint64_t total_rule_entries(const core::Epoch& epoch) {
   return total;
 }
 
-// Makespan of tearing the previous epoch down and booting the next from
-// scratch: all boots run in parallel (slowest image dominates), then every
-// class's rules are installed serially.
-double full_reinstall_latency(const core::Epoch& next,
-                              const orch::OrchestrationTimings& timings) {
-  double boot = 0.0;
-  for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
-    bool present = false;
-    for (const auto& counts : next.plan.instance_count) {
-      if (counts[n] > 0) present = true;
-    }
-    if (!present) continue;
-    const auto& spec = vnf::spec_of(static_cast<vnf::NfType>(n));
-    boot = std::max(boot, spec.clickos ? timings.clickos_boot_openstack_mean()
-                                       : timings.normal_vm_boot);
-  }
-  return boot + timings.rule_install *
-                    static_cast<double>(next.classes.size());
-}
-
 struct SeriesResult {
   std::string label;
   std::size_t classes = 0;
@@ -132,7 +112,7 @@ SeriesResult run_series(const std::string& label, const net::Topology& topo,
           prev.plan.total_instances() + next.plan.total_instances();
       result.full_rule_churn +=
           total_rule_entries(prev) + total_rule_entries(next);
-      result.full_latency_s += full_reinstall_latency(next, timings);
+      result.full_latency_s += core::full_reinstall_latency(next, timings);
       prev = std::move(next);
     }
     result.full_latency_s /= static_cast<double>(kSnapshots);

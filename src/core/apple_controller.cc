@@ -1,65 +1,15 @@
 #include "core/apple_controller.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "core/live_system.h"
 #include "obs/obs.h"
 #include "orch/resource_orchestrator.h"
 
 namespace apple::core {
-
-namespace {
-
-// Registers an epoch's full inventory with an orchestrator under the
-// pipeline's pre-assigned ids (instances are already running — no boot is
-// charged). A rejection means the pipeline's inventory and the
-// orchestrator's bookkeeping disagree, which is a programming error.
-void adopt_inventory(orch::ResourceOrchestrator& control, const Epoch& epoch) {
-  for (net::NodeId v = 0; v < epoch.inventory.by_node_type.size(); ++v) {
-    for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
-      for (const vnf::InstanceId id : epoch.inventory.by_node_type[v][n]) {
-        vnf::VnfInstance inst;
-        inst.id = id;
-        inst.type = static_cast<vnf::NfType>(n);
-        inst.host_switch = v;
-        inst.capacity_mbps = vnf::spec_of(inst.type).capacity_mbps;
-        if (!control.adopt(inst).ok()) {
-          throw std::logic_error(
-              "orchestrator inventory diverged from placement");
-        }
-      }
-    }
-  }
-}
-
-// Full-reinstall boot makespan: every next-epoch instance boots through the
-// OpenStack pipeline in parallel (mean Fig. 7 latency for ClickOS images,
-// full VM boot otherwise).
-double full_reinstall_makespan(const Epoch& epoch,
-                               const orch::OrchestrationTimings& timings) {
-  double makespan = 0.0;
-  for (const auto& per_type : epoch.inventory.by_node_type) {
-    for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
-      if (per_type[n].empty()) continue;
-      const bool clickos = vnf::spec_of(static_cast<vnf::NfType>(n)).clickos;
-      makespan = std::max(makespan, clickos
-                                        ? timings.clickos_boot_openstack_mean()
-                                        : timings.normal_vm_boot);
-    }
-  }
-  return makespan;
-}
-
-std::uint64_t total_rule_entries(const Epoch& epoch) {
-  std::uint64_t total = 0;
-  for (const auto& plans : epoch.subclasses) total += rule_entries_for(plans);
-  return total;
-}
-
-}  // namespace
 
 AppleController::AppleController(const net::Topology& topo,
                                  std::span<const vnf::PolicyChain> chains,
@@ -95,34 +45,35 @@ traffic::ClassStore AppleController::build_class_store(
   return traffic::build_class_store(*topo_, routing_, tm, assign_, options);
 }
 
-std::vector<traffic::TrafficClass> AppleController::build_classes(
-    const traffic::TrafficMatrix& tm) const {
-  return build_class_store(tm).materialize_view();
-}
-
 Epoch AppleController::optimize(const traffic::TrafficMatrix& tm) const {
   APPLE_OBS_SPAN("core.controller.optimize_seconds");
   APPLE_OBS_COUNT("core.controller.epochs_optimized");
   return pipeline_.run(*topo_, chains_, build_class_store(tm));
 }
 
-Epoch AppleController::optimize_excluding_host(
-    const traffic::TrafficMatrix& tm, net::NodeId failed_host) const {
-  if (failed_host >= topo_->num_nodes()) {
-    throw std::invalid_argument("unknown host switch");
-  }
-  // Clone the topology with the failed host's resources zeroed; switching
+Epoch AppleController::optimize_excluding_hosts(
+    const traffic::TrafficMatrix& tm,
+    std::span<const net::NodeId> hosts) const {
+  // Clone the topology with the failed hosts' resources zeroed; switching
   // capacity is unaffected, so the classes keep their original paths.
   net::Topology degraded = *topo_;
-  degraded.node(failed_host).host_cores = 0.0;
+  std::string listed;
+  for (const net::NodeId v : hosts) {
+    if (v >= topo_->num_nodes()) {
+      throw std::invalid_argument("unknown host switch");
+    }
+    degraded.node(v).host_cores = 0.0;
+    if (!listed.empty()) listed += ", ";
+    listed += std::to_string(v);
+  }
   try {
-    return pipeline_.run(degraded, chains_, build_classes(tm));
+    return pipeline_.run(degraded, chains_, build_class_store(tm));
   } catch (const std::runtime_error& e) {
     std::string reason = e.what();
     static constexpr char kPrefix[] = "placement infeasible: ";
     if (reason.rfind(kPrefix, 0) == 0) reason.erase(0, sizeof(kPrefix) - 1);
-    throw std::runtime_error("no feasible placement without host " +
-                             std::to_string(failed_host) + ": " + reason);
+    throw std::runtime_error("no feasible placement without hosts " +
+                             listed + ": " + reason);
   }
 }
 
@@ -175,7 +126,7 @@ ReplayReport AppleController::replay(
   // re-optimizations so each segment's churn ops replay against the real
   // inventory and only churned instances pay boot latency (Sec. VI).
   orch::ResourceOrchestrator control(*topo_);
-  adopt_inventory(control, epoch);
+  adopt_fleet(control, epoch.inventory, 0.0);
 
   const Epoch* current = &epoch;
   Epoch owned;  // storage for re-optimized epochs
@@ -193,78 +144,33 @@ ReplayReport AppleController::replay(
           traffic::mean_matrix(series.subspan(begin, count));
       const double now =
           static_cast<double>(begin) * config_.snapshot_duration;
-      const auto& timings = control.timings();
-      if (config_.incremental_reoptimize) {
-        try {
-          // Store-backed epochs diff per shard (only dirty shards are
-          // touched); epochs built outside the store path fall back to the
-          // flat diff.
-          const bool store_backed =
-              current->store.size() == current->classes.size() &&
-              !current->classes.empty();
-          IncrementalEpoch inc =
-              store_backed
-                  ? pipeline_.advance(*current, *topo_, chains_,
-                                      build_class_store(mean))
-                  : pipeline_.advance(*current, *topo_, chains_,
-                                      build_classes(mean));
-          const double makespan =
-              apply_plan_delta(control, inc.plan_delta, now);
-          const double latency =
-              makespan + timings.rule_install *
-                             static_cast<double>(inc.rule_delta.reinstall.size() +
-                                                 inc.rule_delta.remove.size());
-          report.churn.instances_launched += inc.plan_delta.instances_launched;
-          report.churn.instances_retired += inc.plan_delta.instances_retired;
-          report.churn.instances_reconfigured +=
-              inc.plan_delta.instances_reconfigured;
-          report.churn.rules_installed += inc.rule_delta.rules_installed;
-          report.churn.rules_removed += inc.rule_delta.rules_removed;
-          ++report.churn.reoptimizations;
-          if (inc.full_recompute) ++report.churn.full_recomputes;
-          report.churn.control_latency_sum_s += latency;
-          report.churn.control_latency_max_s =
-              std::max(report.churn.control_latency_max_s, latency);
-          APPLE_OBS_OBSERVE("core.controller.reoptimize_latency_seconds",
-                            latency);
-          owned = std::move(inc.epoch);
-          current = &owned;
-        } catch (const std::runtime_error&) {
-          // keep the previous epoch
-        }
-      } else {
-        try {
-          Epoch next = optimize(mean);
-          // Full reinstall: tear down the whole fleet and every rule, then
-          // bring up the next epoch from scratch (the cost the incremental
-          // pipeline exists to avoid).
-          report.churn.instances_retired += current->plan.total_instances();
-          report.churn.instances_launched += next.plan.total_instances();
-          report.churn.rules_removed += total_rule_entries(*current);
-          report.churn.rules_installed += total_rule_entries(next);
-          ++report.churn.reoptimizations;
-          ++report.churn.full_recomputes;
-          const double latency =
-              full_reinstall_makespan(next, timings) +
-              timings.rule_install * static_cast<double>(next.classes.size());
-          report.churn.control_latency_sum_s += latency;
-          report.churn.control_latency_max_s =
-              std::max(report.churn.control_latency_max_s, latency);
-          APPLE_OBS_OBSERVE("core.controller.reoptimize_latency_seconds",
-                            latency);
-          // Re-seed the control orchestrator with the fresh fleet (ids
-          // restart from the new epoch's dense numbering).
-          for (const auto& per_type : current->inventory.by_node_type) {
-            for (const auto& bucket : per_type) {
-              for (const vnf::InstanceId id : bucket) control.cancel(id);
-            }
-          }
-          owned = std::move(next);
-          current = &owned;
-          adopt_inventory(control, *current);
-        } catch (const std::runtime_error&) {
-          // keep the previous epoch
-        }
+      try {
+        // Every epoch the controller hands out is store-backed, so the
+        // class diff only touches dirty shards.
+        IncrementalEpoch inc = pipeline_.advance(*current, *topo_, chains_,
+                                                 build_class_store(mean));
+        const double makespan = apply_plan_delta(control, inc.plan_delta, now);
+        const double latency =
+            makespan + control.timings().rule_install *
+                           static_cast<double>(inc.rule_delta.reinstall.size() +
+                                               inc.rule_delta.remove.size());
+        report.churn.instances_launched += inc.plan_delta.instances_launched;
+        report.churn.instances_retired += inc.plan_delta.instances_retired;
+        report.churn.instances_reconfigured +=
+            inc.plan_delta.instances_reconfigured;
+        report.churn.rules_installed += inc.rule_delta.rules_installed;
+        report.churn.rules_removed += inc.rule_delta.rules_removed;
+        ++report.churn.reoptimizations;
+        if (inc.full_recompute) ++report.churn.full_recomputes;
+        report.churn.control_latency_sum_s += latency;
+        report.churn.control_latency_max_s =
+            std::max(report.churn.control_latency_max_s, latency);
+        APPLE_OBS_OBSERVE("core.controller.reoptimize_latency_seconds",
+                          latency);
+        owned = std::move(inc.epoch);
+        current = &owned;
+      } catch (const std::runtime_error&) {
+        // keep the previous epoch
       }
     }
     ++report.epochs;
@@ -286,31 +192,13 @@ void AppleController::replay_segment(
     bool fast_failover, ReplayReport& report) const {
   APPLE_OBS_SPAN("core.controller.replay_segment_seconds");
   APPLE_OBS_COUNT_N("core.controller.snapshots_replayed", series.size());
-  // Mirror the epoch's (already provisioned) instances into the segment's
-  // data-plane simulation under the pipeline's ids; the Dynamic Handler's
-  // own launches then continue from non-colliding ids.
-  orch::ResourceOrchestrator orchestrator(*topo_);
-  sim::FlowSimulation flow(config_.tick);
-  for (net::NodeId v = 0; v < topo_->num_nodes(); ++v) {
-    for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
-      for (const vnf::InstanceId expected : epoch.inventory.by_node_type[v][n]) {
-        vnf::VnfInstance inst;
-        inst.id = expected;
-        inst.type = static_cast<vnf::NfType>(n);
-        inst.host_switch = v;
-        inst.capacity_mbps = vnf::spec_of(inst.type).capacity_mbps;
-        if (!orchestrator.adopt(inst).ok()) {
-          throw std::logic_error(
-              "orchestrator inventory diverged from placement");
-        }
-        // The fluid simulator drops at the true loss knee; the measured
-        // Cap_n the plan packed against sits kMeasuredCapacityMargin below
-        // it (Sec. IV-C), which is the detector's head start.
-        inst.capacity_mbps = vnf::spec_of(inst.type).loss_knee_mbps();
-        flow.add_instance(inst, /*ready_at=*/0.0);
-      }
-    }
-  }
+  const std::size_t ticks_per_snapshot =
+      ticks_per(config_.snapshot_duration, config_.tick);
+  const std::size_t ticks_per_poll =
+      ticks_per(config_.poll_interval, config_.tick);
+  // A fresh system at t = 0 under the pipeline's ids; the Dynamic
+  // Handler's own launches continue from non-colliding ids.
+  LiveSystem live(*topo_, epoch, config_.tick);
 
   DynamicHandlerConfig handler_config = config_.handler;
   handler_config.detector.poll_interval = config_.poll_interval;
@@ -319,36 +207,22 @@ void AppleController::replay_segment(
   handler_config.detector.overload_threshold *= vnf::kMeasuredCapacityMargin;
   handler_config.detector.clear_threshold *= vnf::kMeasuredCapacityMargin;
   handler_config.headroom *= vnf::kMeasuredCapacityMargin;
-  DynamicHandler handler(flow, orchestrator, handler_config);
-  for (std::size_t h = 0; h < epoch.classes.size(); ++h) {
-    flow.install_class_plans(epoch.classes[h].id, epoch.subclasses[h]);
-    handler.register_class(epoch.classes[h].id,
-                           chains_[epoch.classes[h].chain_id],
-                           epoch.classes[h].path);
+  DynamicHandler handler(live.flow, live.orchestrator, handler_config);
+  for (const traffic::TrafficClass& cls : epoch.classes) {
+    handler.register_class(cls.id, chains_[cls.chain_id], cls.path);
   }
 
   // Replay every snapshot in time order (Sec. IX-A).
-  std::vector<traffic::TrafficClass> live = epoch.classes;
-  const std::size_t ticks_per_snapshot = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::llround(config_.snapshot_duration / config_.tick)));
-  const std::size_t ticks_per_poll = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::llround(config_.poll_interval / config_.tick)));
-
   std::size_t tick_count = 0;
   for (const traffic::TrafficMatrix& tm : series) {
-    traffic::update_rates(live, tm, assign_);
-    for (const traffic::TrafficClass& cls : live) {
-      flow.set_class_rate(cls.id, cls.rate_mbps);
-    }
+    live.rerate(tm, assign_);
     double offered = 0.0, delivered = 0.0;
     for (std::size_t t = 0; t < ticks_per_snapshot; ++t, ++tick_count) {
-      const sim::TickStats stats = flow.step();
+      const sim::TickStats stats = live.flow.step();
       offered += stats.offered_mbps;
       delivered += stats.delivered_mbps;
       if (fast_failover && tick_count % ticks_per_poll == 0) {
-        handler.poll(flow.now());
+        handler.poll(live.flow.now());
       }
     }
     report.snapshot_loss.push_back(

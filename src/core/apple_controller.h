@@ -30,7 +30,7 @@ struct ControllerConfig {
   ClassDeltaOptions delta;  // pinning threshold for incremental epochs
   double snapshot_duration = 1.0;  // sim seconds per TM snapshot
   double tick = 0.05;              // fluid simulation tick
-  double poll_interval = 0.1;      // dynamic-handler counter poll
+  double poll_interval = 0.1;      // counter poll (failover, fault detection)
   double min_class_rate_mbps = 1e-3;
   std::size_t num_chains = 0;      // 0 = all default chains
   std::uint64_t chain_seed = 0;    // OD-pair -> chain hashing seed
@@ -47,10 +47,6 @@ struct ControllerConfig {
   // slow daily/weekly patterns tolerate full VNF installation, so the
   // placement tracks them while fast failover absorbs the fast dynamics.
   std::size_t reoptimize_every = 0;
-  // Use the delta-driven incremental pipeline for those re-optimizations
-  // (pin unchanged classes, churn only what moved). When false every
-  // re-optimization recomputes and reinstalls the epoch from scratch.
-  bool incremental_reoptimize = true;
 };
 
 // Control-plane churn across a replay's re-optimizations: the instance and
@@ -90,27 +86,23 @@ class AppleController {
   std::span<const vnf::PolicyChain> chains() const { return chains_; }
   const traffic::ChainAssignment& chain_assignment() const { return assign_; }
   const EpochPipeline& pipeline() const { return pipeline_; }
+  const ControllerConfig& config() const { return config_; }
 
   // Builds the canonical sharded class store for a traffic matrix
   // (Sec. IV-A granularity; traffic/class_store.h).
   traffic::ClassStore build_class_store(const traffic::TrafficMatrix& tm) const;
 
-  // Flat compatibility form of build_class_store: the store's materialized
-  // view, in its stable shard-major order.
-  std::vector<traffic::TrafficClass> build_classes(
-      const traffic::TrafficMatrix& tm) const;
-
   // Full epoch: classes -> placement -> instances -> sub-classes -> rules.
   // Throws std::runtime_error when the placement is infeasible.
   Epoch optimize(const traffic::TrafficMatrix& tm) const;
 
-  // Failure recovery (extension): recompute the epoch with the APPLE host
-  // at `failed_host` treated as gone (its switch keeps forwarding — only
-  // the attached server is lost, so paths are untouched and interference
-  // freedom is preserved). Throws when no feasible placement exists
-  // without that host.
-  Epoch optimize_excluding_host(const traffic::TrafficMatrix& tm,
-                                net::NodeId failed_host) const;
+  // Failure recovery (extension): recompute the epoch with the APPLE hosts
+  // at `hosts` treated as gone (their switches keep forwarding, so paths and
+  // interference freedom are untouched). Throws std::invalid_argument on an
+  // unknown id, std::runtime_error when no feasible placement exists without
+  // those hosts.
+  Epoch optimize_excluding_hosts(const traffic::TrafficMatrix& tm,
+                                 std::span<const net::NodeId> hosts) const;
 
   // Replays `series` against the epoch's placement; `fast_failover`
   // enables the Dynamic Handler (the Fig. 12 comparison).

@@ -348,6 +348,20 @@ double modeled_control_latency(const PlanDelta& plan_delta,
          timings.rule_install * static_cast<double>(classes_reinstalled);
 }
 
+double full_reinstall_latency(const Epoch& epoch,
+                              const orch::OrchestrationTimings& timings) {
+  double makespan = 0.0;
+  for (const auto& per_type : epoch.inventory.by_node_type) {
+    for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
+      if (per_type[n].empty()) continue;
+      const InstanceOp launch{.type = static_cast<vnf::NfType>(n)};
+      makespan = std::max(makespan, boot_latency_of(launch, timings));
+    }
+  }
+  return makespan +
+         timings.rule_install * static_cast<double>(epoch.classes.size());
+}
+
 std::uint64_t rule_entries_for(std::span<const dataplane::SubclassPlan> plans) {
   std::uint64_t entries = 0;
   for (const dataplane::SubclassPlan& plan : plans) {

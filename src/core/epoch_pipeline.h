@@ -150,6 +150,14 @@ double modeled_control_latency(const PlanDelta& plan_delta,
                                std::size_t classes_reinstalled,
                                const orch::OrchestrationTimings& timings);
 
+struct Epoch;
+
+// Modeled control-plane makespan of a full reinstall of `epoch`, the cost
+// the incremental path avoids: its whole fleet boots in parallel through
+// the same pipeline, then every class's rules are installed.
+double full_reinstall_latency(const Epoch& epoch,
+                              const orch::OrchestrationTimings& timings);
+
 // ---------------------------------------------------------------------------
 // Stage 5: rule delta.
 

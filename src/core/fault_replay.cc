@@ -1,7 +1,6 @@
 #include "core/fault_replay.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <optional>
 #include <set>
@@ -10,11 +9,11 @@
 #include <utility>
 
 #include "common/check.h"
+#include "core/live_system.h"
 #include "core/rule_generator.h"
 #include "fault/injector.h"
 #include "obs/obs.h"
 #include "sim/event_queue.h"
-#include "sim/flow_sim.h"
 #include "traffic/traffic_matrix.h"
 
 namespace apple::core {
@@ -37,7 +36,7 @@ struct ReplacementJob {
 };
 
 // A down APPLE host awaiting a full re-placement around it
-// (optimize_excluding_host semantics; the switch keeps forwarding).
+// (optimize_excluding_hosts; the switch keeps forwarding).
 struct NodeRepairJob {
   fault::FaultId fault = fault::kNoFault;
   net::NodeId node = net::kInvalidNode;
@@ -62,31 +61,6 @@ struct CanaryState {
     return !boot_fault && !slow_fault && !rule_fault && instance == 0;
   }
 };
-
-void adopt_or_die(orch::ResourceOrchestrator& orchestrator,
-                  const vnf::VnfInstance& inst, double now) {
-  if (!orchestrator.adopt(inst, now).ok()) {
-    throw std::logic_error("orchestrator inventory diverged during recovery");
-  }
-}
-
-// Boot + rule makespan of swapping in a recomputed epoch (mirrors the
-// modeled control latency the controller charges for a full reinstall).
-double reinstall_makespan(const Epoch& epoch,
-                          const orch::OrchestrationTimings& timings) {
-  double boot = 0.0;
-  for (const auto& per_type : epoch.inventory.by_node_type) {
-    for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
-      if (per_type[n].empty()) continue;
-      boot = std::max(boot,
-                      vnf::spec_of(static_cast<vnf::NfType>(n)).clickos
-                          ? timings.clickos_boot_openstack_mean()
-                          : timings.normal_vm_boot);
-    }
-  }
-  return boot +
-         timings.rule_install * static_cast<double>(epoch.classes.size());
-}
 
 // Rewrites the epoch's instance ids to start at `first_free` so adopting
 // it cannot collide with ids the live orchestrator already consumed.
@@ -147,36 +121,21 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
   APPLE_OBS_SPAN("core.fault_replay.seconds");
   FaultReplayResult result;
   if (series.empty()) return result;
-  APPLE_CHECK(options.tick > 0.0 && options.snapshot_duration > 0.0 &&
-              options.poll_interval > 0.0);
+  const ControllerConfig& config = controller.config();
+  const std::size_t ticks_per_snapshot =
+      ticks_per(config.snapshot_duration, config.tick);
+  const std::size_t ticks_per_poll =
+      ticks_per(config.poll_interval, config.tick);
 
   // --- live system: a mutable topology shared by every injection target ----
   net::Topology topo = controller.topology();
-  orch::ResourceOrchestrator orchestrator(topo);
-  sim::FlowSimulation flow(options.tick);
-  for (net::NodeId v = 0; v < topo.num_nodes(); ++v) {
-    for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
-      for (const vnf::InstanceId id : epoch.inventory.by_node_type[v][n]) {
-        vnf::VnfInstance inst;
-        inst.id = id;
-        inst.type = static_cast<vnf::NfType>(n);
-        inst.host_switch = v;
-        inst.capacity_mbps = vnf::spec_of(inst.type).capacity_mbps;
-        adopt_or_die(orchestrator, inst, 0.0);
-        // The fluid sim drops at the true loss knee (the measured Cap_n the
-        // plan packed against sits kMeasuredCapacityMargin below it).
-        inst.capacity_mbps = vnf::spec_of(inst.type).loss_knee_mbps();
-        flow.add_instance(inst, /*ready_at=*/0.0);
-      }
-    }
-  }
+  LiveSystem live(topo, epoch, config.tick);
+  orch::ResourceOrchestrator& orchestrator = live.orchestrator;
+  sim::FlowSimulation& flow = live.flow;
   dataplane::DataPlane dp(topo);
   RuleGenerator().install(
       PlacementInput{&topo, epoch.classes, controller.chains()},
       epoch.subclasses, epoch.inventory, dp);
-  for (std::size_t h = 0; h < epoch.classes.size(); ++h) {
-    flow.install_class_plans(epoch.classes[h].id, epoch.subclasses[h]);
-  }
 
   // --- fault machinery -----------------------------------------------------
   fault::RecoveryMonitor monitor;
@@ -222,12 +181,11 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
   std::map<fault::FaultId, NodeRepairJob> node_jobs;
   std::set<net::NodeId> down_hosts;
   CanaryState canary;
-  std::vector<traffic::TrafficClass> live = epoch.classes;
 
   const auto classes_through = [&](const std::vector<fault::KilledInstance>&
                                        killed) {
     std::set<traffic::ClassId> hit;
-    for (const traffic::TrafficClass& cls : live) {
+    for (const traffic::TrafficClass& cls : live.classes()) {
       for (const fault::KilledInstance& k : killed) {
         if (plans_reference(flow.plans_of(cls.id), k.id)) {
           hit.insert(cls.id);
@@ -288,10 +246,10 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
   // Blackholed demand of this tick, attributed to the earliest open fault
   // whose blast radius contains the class.
   const auto attribute_loss = [&] {
-    for (const traffic::TrafficClass& cls : live) {
+    for (const traffic::TrafficClass& cls : live.classes()) {
       const double mbps = flow.class_blackholed_mbps(cls.id);
       if (mbps <= 0.0) continue;
-      const double mbit = mbps * options.tick;
+      const double mbit = mbps * config.tick;
       fault::FaultId owner = fault::kNoFault;
       for (const auto& [id, hit] : affected) {
         const auto rec = monitor.record(id);
@@ -321,18 +279,13 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
   const auto process_node_jobs = [&](double now) {
     for (auto& [id, job] : node_jobs) {
       if (!job.computed) {
-        // Recompute the placement with every currently-down host excluded
-        // (the general form of optimize_excluding_host).
-        net::Topology degraded = controller.topology();
-        for (const net::NodeId v : down_hosts) {
-          degraded.node(v).host_cores = 0.0;
-        }
-        const traffic::TrafficMatrix mean = traffic::mean_matrix(series);
-        job.next = controller.pipeline().run(degraded, controller.chains(),
-                                             controller.build_classes(mean));
+        job.next = controller.optimize_excluding_hosts(
+            traffic::mean_matrix(series),
+            std::vector<net::NodeId>(down_hosts.begin(), down_hosts.end()));
         remap_instance_ids(job.next, orchestrator.peek_next_id());
         job.covers = down_hosts;
-        job.swap_at = now + reinstall_makespan(job.next, orchestrator.timings());
+        job.swap_at =
+            now + full_reinstall_latency(job.next, orchestrator.timings());
         job.computed = true;
         APPLE_OBS_COUNT("fault.replay.node_reoptimizations");
         continue;
@@ -340,7 +293,8 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
       if (now + 1e-9 < job.swap_at) continue;
 
       // Swap the whole placement: rules first (can be rejected by an
-      // injected install fault — retried next poll), then instances.
+      // injected install fault — retried next poll; the install registers
+      // the next fleet with the data plane), then instances.
       try {
         RuleGenerator().install(
             PlacementInput{&topo, job.next.classes, controller.chains()},
@@ -351,34 +305,8 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
         ++result.rule_retries;
         continue;
       }
-
-      std::vector<vnf::InstanceId> old_ids = flow.instance_ids();
-      std::sort(old_ids.begin(), old_ids.end());
-      for (const vnf::InstanceId old_id : old_ids) {
-        if (orchestrator.is_alive(old_id)) orchestrator.cancel(old_id);
+      for (const vnf::InstanceId old_id : live.adopt(job.next, now)) {
         dp.unregister_instance(old_id);
-      }
-      for (net::NodeId v = 0; v < topo.num_nodes(); ++v) {
-        for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
-          for (const vnf::InstanceId nid : job.next.inventory.by_node_type[v][n]) {
-            vnf::VnfInstance inst;
-            inst.id = nid;
-            inst.type = static_cast<vnf::NfType>(n);
-            inst.host_switch = v;
-            inst.capacity_mbps = vnf::spec_of(inst.type).capacity_mbps;
-            adopt_or_die(orchestrator, inst, now);
-            dp.register_instance(inst);
-            inst.capacity_mbps = vnf::spec_of(inst.type).loss_knee_mbps();
-            flow.add_instance(inst, now);
-          }
-        }
-      }
-      for (std::size_t h = 0; h < job.next.classes.size(); ++h) {
-        flow.install_class_plans(job.next.classes[h].id,
-                                 job.next.subclasses[h]);
-      }
-      for (const vnf::InstanceId old_id : old_ids) {
-        flow.remove_instance(old_id);
       }
 
       // The re-placement supersedes every in-flight crash repair: the dead
@@ -469,7 +397,7 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
         job.registered = true;
       }
       bool blocked = false;
-      for (const traffic::TrafficClass& cls : live) {
+      for (const traffic::TrafficClass& cls : live.classes()) {
         const auto& plans = flow.plans_of(cls.id);
         if (!plans_reference(plans, job.dead)) continue;
         auto next_plans =
@@ -547,8 +475,8 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
     }
     // Rule canary: refresh the first class's (unchanged) rules.
     if ((injector.pending_rule_faults() > 0 || canary.rule_fault) &&
-        !live.empty()) {
-      const traffic::ClassId cls = live.front().id;
+        !live.classes().empty()) {
+      const traffic::ClassId cls = live.classes().front().id;
       try {
         dp.update_class(cls, flow.plans_of(cls));
         if (canary.rule_fault) {
@@ -576,12 +504,6 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
   };
 
   // --- main loop: snapshot series, then a drain window ---------------------
-  const std::size_t ticks_per_snapshot = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::llround(options.snapshot_duration / options.tick)));
-  const std::size_t ticks_per_poll = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::llround(options.poll_interval / options.tick)));
   std::size_t tick_count = 0;
 
   const auto run_tick = [&](double* offered, double* delivered,
@@ -600,10 +522,7 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
   };
 
   for (const traffic::TrafficMatrix& tm : series) {
-    traffic::update_rates(live, tm, controller.chain_assignment());
-    for (const traffic::TrafficClass& cls : live) {
-      flow.set_class_rate(cls.id, cls.rate_mbps);
-    }
+    live.rerate(tm, controller.chain_assignment());
     double offered = 0.0, delivered = 0.0, blackholed = 0.0;
     for (std::size_t t = 0; t < ticks_per_snapshot; ++t) {
       run_tick(&offered, &delivered, &blackholed);

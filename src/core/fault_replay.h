@@ -9,9 +9,9 @@
 //                        replacement once it is up.
 //   * node down        — detected at the next poll; the controller recomputes
 //                        the epoch excluding every down host
-//                        (AppleController::optimize_excluding_host) and swaps
-//                        the whole placement after the modeled boot + rule
-//                        makespan.
+//                        (AppleController::optimize_excluding_hosts) and
+//                        swaps the whole placement after the modeled boot +
+//                        rule makespan (full_reinstall_latency).
 //   * link down/up     — interference freedom means no reroute: the severed
 //                        classes blackhole until the link's up event (the
 //                        availability cost Sec. III accepts by design).
@@ -27,6 +27,9 @@
 // probes the data plane for policy violations: a delivered packet must
 // traverse its full chain, faults or not. bench_fault_recovery gates on
 // all-repaired + zero violations + determinism.
+// The system under fault is AppleController::replay's (core/live_system.h)
+// at the controller's timing, so a fault-free run loses what a plain replay
+// without fast failover loses.
 #pragma once
 
 #include <span>
@@ -39,9 +42,6 @@
 namespace apple::core {
 
 struct FaultReplayOptions {
-  double snapshot_duration = 1.0;  // sim seconds per TM snapshot
-  double tick = 0.05;              // fluid simulation tick
-  double poll_interval = 0.1;      // counter-poll (detection) cadence
   // Probes walked per class at every poll for policy verification.
   std::size_t probes_per_class = 2;
   // Extra simulated seconds after the series to let in-flight repairs

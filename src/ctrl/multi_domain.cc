@@ -155,7 +155,7 @@ ApplyReport MultiDomainController::initialize(
   // Bring-up always re-solves conflicts: with no previous epoch, kReject
   // would leave the domain serving nothing.
   std::vector<double> residual(topo_->num_nodes());
-  for (std::size_t v = 0; v < residual.size(); ++v) {
+  for (net::NodeId v = 0; v < residual.size(); ++v) {
     residual[v] = topo_->node(v).host_cores;
   }
   {
@@ -315,7 +315,7 @@ ApplyReport MultiDomainController::apply(const PolicyBatch& batch) {
   // oversubscribed until the domain's next successful epoch — capacity
   // converges, correctness (chains) never degrades.
   std::vector<double> residual(topo_->num_nodes());
-  for (std::size_t v = 0; v < residual.size(); ++v) {
+  for (net::NodeId v = 0; v < residual.size(); ++v) {
     residual[v] = topo_->node(v).host_cores;
   }
   for (std::size_t d = 0; d < K; ++d) {

@@ -12,6 +12,13 @@
 namespace apple::core {
 namespace {
 
+ControllerConfig config() {
+  ControllerConfig cfg;
+  cfg.engine.strategy = PlacementStrategy::kGreedy;
+  cfg.policied_fraction = 0.5;
+  return cfg;
+}
+
 class FaultReplayTest : public ::testing::Test {
  protected:
   FaultReplayTest()
@@ -25,13 +32,6 @@ class FaultReplayTest : public ::testing::Test {
     diurnal.noise_sigma = 0.0;
     series_ = traffic::make_diurnal_series(base, diurnal);
     epoch_ = controller_.optimize(traffic::mean_matrix(series_));
-  }
-
-  static ControllerConfig config() {
-    ControllerConfig cfg;
-    cfg.engine.strategy = PlacementStrategy::kGreedy;
-    cfg.policied_fraction = 0.5;
-    return cfg;
   }
 
   fault::FaultSchedule seeded(fault::ScheduleConfig cfg) const {
@@ -203,6 +203,41 @@ TEST_F(FaultReplayTest, CorrelatedBurstRepairsBothCrashes) {
       << result.recovery.fingerprint();
   EXPECT_EQ(result.recovery.policy_violations, 0u);
 }
+
+// A fault-free fault replay runs the live system a plain replay runs, with
+// the controller's timing: the same per-snapshot losses and the same
+// clock, at any snapshot length.
+class FaultFreeReplayTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(FaultFreeReplayTest, MatchesPlainReplay) {
+  const net::Topology topo = net::make_geant();
+  ControllerConfig cfg = config();
+  cfg.snapshot_duration = GetParam();
+  const AppleController controller(topo, vnf::default_policy_chains(), cfg);
+  traffic::DiurnalConfig diurnal;
+  diurnal.num_snapshots = 8;
+  std::vector<traffic::TrafficMatrix> series = traffic::make_diurnal_series(
+      traffic::make_gravity_matrix(topo.num_nodes(), {.total_mbps = 16000.0}),
+      diurnal);
+  traffic::BurstConfig bursts;  // a 4x burst starts at every snapshot
+  bursts.probability = 1.0;
+  bursts.magnitude = 4.0;
+  traffic::inject_bursts(series, bursts);
+  const Epoch epoch = controller.optimize(traffic::mean_matrix(series));
+
+  const ReplayReport plain = controller.replay(epoch, series, false);
+  ASSERT_GT(plain.mean_loss, 0.0);
+  const FaultReplayResult faulted = replay_with_faults(
+      controller, epoch, series,
+      fault::make_schedule(topo, fault::ScheduleConfig{}));
+  EXPECT_EQ(faulted.snapshot_loss, plain.snapshot_loss);
+  EXPECT_NEAR(faulted.end_time,
+              static_cast<double>(series.size()) * cfg.snapshot_duration,
+              1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(SnapshotDuration, FaultFreeReplayTest,
+                         ::testing::Values(1.0, 0.5));
 
 }  // namespace
 }  // namespace apple::core

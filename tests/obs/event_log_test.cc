@@ -172,7 +172,7 @@ TEST(EventLog, SpansNestedDeeperThanTheRingStayBalancedInTotals) {
 
   MetricsRegistry reg;
   log.export_counters(reg);
-  EXPECT_DOUBLE_EQ(reg.counter("obs.event.lp.mip.solve").value(), 16.0);
+  EXPECT_EQ(reg.counter("obs.event.lp.mip.solve").value(), 16u);
 
   // The retained tail is the last four ends, unwinding inner -> outer.
   const auto threads = parse_threads(log);
@@ -194,10 +194,8 @@ TEST(EventLog, ExportCountersIsExactPastWrapAndIdempotent) {
   MetricsRegistry reg;
   log.export_counters(reg);
   log.export_counters(reg);  // re-export must not double-count
-  EXPECT_DOUBLE_EQ(reg.counter("obs.event.orch.lifecycle.launch").value(),
-                   5.0);
-  EXPECT_DOUBLE_EQ(reg.counter("obs.event.orch.lifecycle.retire").value(),
-                   1.0);
+  EXPECT_EQ(reg.counter("obs.event.orch.lifecycle.launch").value(), 5u);
+  EXPECT_EQ(reg.counter("obs.event.orch.lifecycle.retire").value(), 1u);
 }
 
 TEST(EventLog, DisabledRecordingConsumesNoIdsAndDropsEvents) {
@@ -235,7 +233,7 @@ TEST(EventLog, ResetClearsRingsAndIdCountersButKeepsInterning) {
   EXPECT_EQ(log.intern("fault.detect"), id);  // intern table survives
   MetricsRegistry reg;
   log.export_counters(reg);
-  EXPECT_DOUBLE_EQ(reg.counter("obs.event.fault.detect").value(), 0.0);
+  EXPECT_EQ(reg.counter("obs.event.fault.detect").value(), 0u);
   {
     EpochScope epoch(log);
     EXPECT_EQ(epoch.epoch_id(), 1u);  // id streams restart

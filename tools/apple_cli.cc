@@ -265,7 +265,8 @@ int main(int argc, char** argv) {
                   "%llu instances, %zu conflicts at bring-up\n",
                   mdc.num_domains(),
                   static_cast<unsigned long long>(opt->seed),
-                  mdc.partition().cut_links.size(), mdc.total_instances(),
+                  mdc.partition().cut_links.size(),
+                  static_cast<unsigned long long>(mdc.total_instances()),
                   boot.conflicts);
       for (std::size_t d = 0; d < mdc.num_domains(); ++d) {
         const ctrl::DomainStatus status = mdc.domain_status(d);
