@@ -9,10 +9,11 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
 //
-// Observability: run with APPLE_TRACE=1 to dump every pipeline stage as a
-// Chrome trace (quickstart_trace.json, loadable in chrome://tracing or
-// https://ui.perfetto.dev); APPLE_TRACE=/path/to/file.json picks the
-// destination. See DESIGN.md Sec. 7.
+// Observability: run with APPLE_TRACE=1 to dump the flight-recorder journal
+// of every span (quickstart_trace.json; APPLE_TRACE=/path/to/file.json picks
+// the destination). `apple_trace --chrome quickstart_chrome.json
+// quickstart_trace.json` turns it into a file loadable in chrome://tracing
+// or https://ui.perfetto.dev. See DESIGN.md Sec. 7 and 13.
 #include <cstdio>
 
 #include "core/optimization_engine.h"
@@ -28,8 +29,6 @@ int main() {
 
   const obs::TraceRequest trace =
       obs::trace_request_from_env("quickstart_trace.json");
-  obs::TraceSink sink;
-  if (trace.enabled) obs::default_registry().set_trace_sink(&sink);
 
   // 1. Network: four SDN switches in a line, each with a 64-core APPLE host.
   const net::Topology topo = net::make_line(4, 64.0);
@@ -59,7 +58,7 @@ int main() {
   {
     // The nested core.engine.place / core.ilp.build / lp.* spans emitted
     // inside this scope nest under it in the trace view.
-    APPLE_OBS_SPAN("example.quickstart.place_seconds");
+    APPLE_OBS_SPAN("example.quickstart.place");
     plan = core::OptimizationEngine(options).place(input);
   }
   if (!plan.feasible) {
@@ -82,8 +81,8 @@ int main() {
 
   // 5. Sub-classes + rules (Sec. V): pin flows to instance sequences and
   //    install the tagging rules.
-  {  // scope ends before the trace dump so this span makes it into the file
-    APPLE_OBS_SPAN("example.quickstart.rules_and_walk_seconds");
+  {  // scope ends before the journal dump so this span's end is in the file
+    APPLE_OBS_SPAN("example.quickstart.rules_and_walk");
     const auto inventory = core::materialize_inventory(input, plan);
     const auto subclasses = core::assign_subclasses(input, plan, inventory);
     dataplane::DataPlane dp(topo);
@@ -114,10 +113,9 @@ int main() {
   }
 
   if (trace.enabled) {
-    obs::default_registry().set_trace_sink(nullptr);
-    if (sink.write_chrome_trace_json(trace.path)) {
-      std::printf("chrome trace written to %s (open in chrome://tracing)\n",
-                  trace.path.c_str());
+    if (obs::default_event_log().write_json(trace.path)) {
+      std::printf("flight journal written to %s (apple_trace --chrome "
+                  "converts it)\n", trace.path.c_str());
     } else {
       std::fprintf(stderr, "warning: could not write %s\n",
                    trace.path.c_str());

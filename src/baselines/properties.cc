@@ -25,7 +25,7 @@ bool enforces(const core::PlacementInput& input,
 std::vector<FrameworkProperties> evaluate_frameworks(
     const core::PlacementInput& input, const net::AllPairsPaths& routing) {
   APPLE_CHECK(input.topology != nullptr);
-  APPLE_OBS_SPAN("baselines.properties.evaluate_seconds");
+  APPLE_OBS_SPAN("baselines.properties.evaluate");
   APPLE_OBS_COUNT("baselines.properties.evaluations");
   std::vector<FrameworkProperties> rows;
 

@@ -46,7 +46,7 @@ traffic::ClassStore AppleController::build_class_store(
 }
 
 Epoch AppleController::optimize(const traffic::TrafficMatrix& tm) const {
-  APPLE_OBS_SPAN("core.controller.optimize_seconds");
+  APPLE_OBS_SPAN("core.controller.optimize");
   APPLE_OBS_COUNT("core.controller.epochs_optimized");
   return pipeline_.run(*topo_, chains_, build_class_store(tm));
 }
@@ -190,7 +190,7 @@ ReplayReport AppleController::replay(
 void AppleController::replay_segment(
     const Epoch& epoch, std::span<const traffic::TrafficMatrix> series,
     bool fast_failover, ReplayReport& report) const {
-  APPLE_OBS_SPAN("core.controller.replay_segment_seconds");
+  APPLE_OBS_SPAN("core.controller.replay_segment");
   APPLE_OBS_COUNT_N("core.controller.snapshots_replayed", series.size());
   const std::size_t ticks_per_snapshot =
       ticks_per(config_.snapshot_duration, config_.tick);

@@ -63,8 +63,7 @@ double boot_latency_of(const InstanceOp& op,
 ClassDelta diff_classes(std::span<const traffic::TrafficClass> prev,
                         std::span<const traffic::TrafficClass> next,
                         const ClassDeltaOptions& options) {
-  APPLE_OBS_SPAN("core.pipeline.diff_classes_seconds");
-  APPLE_OBS_EVENT_SPAN("core.pipeline.stage.diff_classes");
+  APPLE_OBS_SPAN("core.pipeline.stage.diff_classes");
   // Identity of a class across snapshots: the (src, dst, chain) triple.
   // std::map keeps the scan deterministic regardless of hashing.
   std::map<std::array<std::uint64_t, 3>, std::size_t> index;
@@ -113,8 +112,7 @@ ClassDelta diff_classes(std::span<const traffic::TrafficClass> prev,
 ClassDelta diff_classes(const traffic::ClassStore& prev,
                         const traffic::ClassStore& next,
                         const ClassDeltaOptions& options) {
-  APPLE_OBS_SPAN("core.pipeline.diff_classes_seconds");
-  APPLE_OBS_EVENT_SPAN("core.pipeline.stage.diff_classes");
+  APPLE_OBS_SPAN("core.pipeline.stage.diff_classes");
   // The (src, dst) shard partition is a pure hash, so matching classes can
   // only ever sit in the shard of the same index — diffing shard-against-
   // shard yields exactly the flat diff's buckets, in the same (global
@@ -196,8 +194,7 @@ PlanDelta diff_plans(const PlacementPlan& prev,
                      const InstanceInventory& prev_inventory,
                      const PlacementPlan& next, const ClassDelta& delta,
                      vnf::InstanceId next_free_id) {
-  APPLE_OBS_SPAN("core.pipeline.diff_plans_seconds");
-  APPLE_OBS_EVENT_SPAN("core.pipeline.stage.diff_plans");
+  APPLE_OBS_SPAN("core.pipeline.stage.diff_plans");
   APPLE_CHECK_EQ(prev.instance_count.size(), next.instance_count.size());
   APPLE_CHECK_EQ(prev_inventory.by_node_type.size(),
                  prev.instance_count.size());
@@ -379,8 +376,7 @@ RuleDelta diff_rules(
     std::span<const traffic::TrafficClass> next_classes,
     const std::vector<std::vector<dataplane::SubclassPlan>>& next_subclasses,
     const ClassDelta& delta) {
-  APPLE_OBS_SPAN("core.pipeline.diff_rules_seconds");
-  APPLE_OBS_EVENT_SPAN("core.pipeline.stage.diff_rules");
+  APPLE_OBS_SPAN("core.pipeline.stage.diff_rules");
   APPLE_CHECK_EQ(prev_subclasses.size(), prev_classes.size());
   APPLE_CHECK_EQ(next_subclasses.size(), next_classes.size());
   APPLE_CHECK_EQ(delta.prev_of.size(), next_classes.size());
@@ -413,8 +409,7 @@ void apply_rule_delta(
     const std::vector<std::vector<dataplane::SubclassPlan>>& next_subclasses,
     const PlanDelta& plan_delta, const RuleDelta& rule_delta,
     dataplane::DataPlane& dp) {
-  APPLE_OBS_SPAN("core.pipeline.apply_rules_seconds");
-  APPLE_OBS_EVENT_SPAN("core.pipeline.stage.apply_rules");
+  APPLE_OBS_SPAN("core.pipeline.stage.apply_rules");
   for (const InstanceOp& op : plan_delta.ops) {
     switch (op.kind) {
       case InstanceOp::Kind::kRetire:
@@ -442,7 +437,7 @@ Epoch EpochPipeline::assemble(const net::Topology& topo,
                               std::span<const vnf::PolicyChain> chains,
                               std::vector<traffic::TrafficClass> classes,
                               PlacementPlan plan) const {
-  APPLE_OBS_SPAN("core.pipeline.assemble_seconds");
+  APPLE_OBS_SPAN("core.pipeline.assemble");
   if (!plan.feasible) {
     throw std::runtime_error("placement infeasible: " +
                              plan.infeasibility_reason);
@@ -455,16 +450,16 @@ Epoch EpochPipeline::assemble(const net::Topology& topo,
   input.classes = epoch.classes;
   input.chains = chains;
   {
-    APPLE_OBS_EVENT_SPAN("core.pipeline.stage.inventory");
+    APPLE_OBS_SPAN("core.pipeline.stage.inventory");
     epoch.inventory = materialize_inventory(input, epoch.plan);
   }
   {
-    APPLE_OBS_EVENT_SPAN("core.pipeline.stage.subclasses");
+    APPLE_OBS_SPAN("core.pipeline.stage.subclasses");
     epoch.subclasses = assign_subclasses(input, epoch.plan, epoch.inventory,
                                          options_.assigner);
   }
   {
-    APPLE_OBS_EVENT_SPAN("core.pipeline.stage.rules_account");
+    APPLE_OBS_SPAN("core.pipeline.stage.rules_account");
     epoch.rules = RuleGenerator().account(input, epoch.subclasses);
   }
   epoch.next_instance_id =
@@ -485,17 +480,16 @@ Epoch EpochPipeline::assemble_epoch(const net::Topology& topo,
 Epoch EpochPipeline::run(const net::Topology& topo,
                          std::span<const vnf::PolicyChain> chains,
                          std::vector<traffic::TrafficClass> classes) const {
-  APPLE_OBS_SPAN("core.pipeline.epoch_seconds");
   APPLE_OBS_COUNT("core.pipeline.epochs_full");
   APPLE_OBS_EVENT_EPOCH();
-  APPLE_OBS_EVENT_SPAN("core.pipeline.epoch");
+  APPLE_OBS_SPAN("core.pipeline.epoch");
   PlacementInput input;
   input.topology = &topo;
   input.classes = classes;
   input.chains = chains;
   PlacementPlan plan;
   {
-    APPLE_OBS_EVENT_SPAN("core.pipeline.stage.place");
+    APPLE_OBS_SPAN("core.pipeline.stage.place");
     plan = OptimizationEngine(options_.engine).place(input);
   }
   return assemble(topo, chains, std::move(classes), std::move(plan));
@@ -513,10 +507,9 @@ IncrementalEpoch EpochPipeline::advance(
     const Epoch& prev, const net::Topology& topo,
     std::span<const vnf::PolicyChain> chains,
     std::vector<traffic::TrafficClass> next_classes) const {
-  APPLE_OBS_SPAN("core.pipeline.advance_seconds");
   APPLE_OBS_COUNT("core.pipeline.epochs_incremental");
   APPLE_OBS_EVENT_EPOCH();
-  APPLE_OBS_EVENT_SPAN("core.pipeline.advance");
+  APPLE_OBS_SPAN("core.pipeline.advance");
 
   // Stage 1: class delta. Surviving classes keep their previous ids (the
   // installed TCAM tags stay valid); added classes take fresh ids so a
@@ -536,10 +529,9 @@ IncrementalEpoch EpochPipeline::advance(const Epoch& prev,
                                         const net::Topology& topo,
                                         std::span<const vnf::PolicyChain> chains,
                                         traffic::ClassStore next_store) const {
-  APPLE_OBS_SPAN("core.pipeline.advance_seconds");
   APPLE_OBS_COUNT("core.pipeline.epochs_incremental");
   APPLE_OBS_EVENT_EPOCH();
-  APPLE_OBS_EVENT_SPAN("core.pipeline.advance");
+  APPLE_OBS_SPAN("core.pipeline.advance");
 
   // The previous epoch must be store-backed: prev_of indices of the store
   // diff address prev.classes through the store's stable iteration order.
@@ -584,14 +576,14 @@ IncrementalEpoch EpochPipeline::advance_with_delta(
   const OptimizationEngine engine(options_.engine);
   PlacementPlan plan;
   {
-    APPLE_OBS_EVENT_SPAN("core.pipeline.stage.place_incremental");
+    APPLE_OBS_SPAN("core.pipeline.stage.place_incremental");
     plan = engine.replace(input, prev.plan, out.class_delta);
   }
   if (!plan.feasible) {
     APPLE_OBS_COUNT("core.pipeline.fallback_full");
     APPLE_OBS_EVENT("core.pipeline.fallback_full");
     out.full_recompute = true;
-    APPLE_OBS_EVENT_SPAN("core.pipeline.stage.place");
+    APPLE_OBS_SPAN("core.pipeline.stage.place");
     plan = engine.place(input);
     if (!plan.feasible) {
       throw std::runtime_error("placement infeasible: " +
@@ -615,12 +607,12 @@ IncrementalEpoch EpochPipeline::advance_with_delta(
 
   // Stage 4: sub-class decomposition over the patched inventory.
   {
-    APPLE_OBS_EVENT_SPAN("core.pipeline.stage.subclasses");
+    APPLE_OBS_SPAN("core.pipeline.stage.subclasses");
     epoch.subclasses = assign_subclasses(input, epoch.plan, epoch.inventory,
                                          options_.assigner);
   }
   {
-    APPLE_OBS_EVENT_SPAN("core.pipeline.stage.rules_account");
+    APPLE_OBS_SPAN("core.pipeline.stage.rules_account");
     epoch.rules = RuleGenerator().account(input, epoch.subclasses);
   }
 

@@ -41,7 +41,7 @@ struct NodeRepairJob {
   fault::FaultId fault = fault::kNoFault;
   net::NodeId node = net::kInvalidNode;
   bool computed = false;
-  Epoch next;                    // ids remapped past the orchestrator counter
+  Epoch next;                    // ids remapped at swap time
   std::set<net::NodeId> covers;  // hosts excluded when `next` was computed
   double swap_at = 0.0;
   std::optional<fault::FaultId> rule_fault;
@@ -118,7 +118,7 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
                                      std::span<const traffic::TrafficMatrix> series,
                                      const fault::FaultSchedule& schedule,
                                      const FaultReplayOptions& options) {
-  APPLE_OBS_SPAN("core.fault_replay.seconds");
+  APPLE_OBS_SPAN("core.fault_replay.run");
   FaultReplayResult result;
   if (series.empty()) return result;
   const ControllerConfig& config = controller.config();
@@ -282,7 +282,6 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
         job.next = controller.optimize_excluding_hosts(
             traffic::mean_matrix(series),
             std::vector<net::NodeId>(down_hosts.begin(), down_hosts.end()));
-        remap_instance_ids(job.next, orchestrator.peek_next_id());
         job.covers = down_hosts;
         job.swap_at =
             now + full_reinstall_latency(job.next, orchestrator.timings());
@@ -294,7 +293,10 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
 
       // Swap the whole placement: rules first (can be rejected by an
       // injected install fault — retried next poll; the install registers
-      // the next fleet with the data plane), then instances.
+      // the next fleet with the data plane), then instances. Ids are taken
+      // only now: a crash replacement launched since the placement was
+      // computed owns the ids that were free then.
+      remap_instance_ids(job.next, orchestrator.peek_next_id());
       try {
         RuleGenerator().install(
             PlacementInput{&topo, job.next.classes, controller.chains()},

@@ -8,7 +8,7 @@
 namespace apple::core {
 
 IlpBuilder::IlpBuilder(const PlacementInput& input, bool integral_q) {
-  APPLE_OBS_SPAN("core.ilp.build_seconds");
+  APPLE_OBS_SPAN("core.ilp.build");
   input.validate();
   const net::Topology& topo = *input.topology;
 

@@ -572,7 +572,7 @@ const char* to_string(PlacementStrategy s) {
 }
 
 PlacementPlan OptimizationEngine::place(const PlacementInput& input) const {
-  APPLE_OBS_SPAN("core.engine.place_seconds");
+  APPLE_OBS_SPAN("core.engine.place");
   input.validate();
   PlacementPlan plan;
   switch (options_.strategy) {
@@ -598,7 +598,7 @@ PlacementPlan OptimizationEngine::place(const PlacementInput& input) const {
 PlacementPlan OptimizationEngine::replace(const PlacementInput& input,
                                           const PlacementPlan& prev,
                                           const ClassDelta& delta) const {
-  APPLE_OBS_SPAN("core.engine.replace_seconds");
+  APPLE_OBS_SPAN("core.engine.replace");
   input.validate();
   APPLE_CHECK(prev.feasible);
   APPLE_CHECK_EQ(prev.instance_count.size(), input.topology->num_nodes());

@@ -107,7 +107,7 @@ std::vector<double> MultiDomainController::usage_of(
 
 ApplyReport MultiDomainController::initialize(
     std::vector<traffic::TrafficClass> classes) {
-  APPLE_OBS_SPAN("ctrl.domain.initialize_seconds");
+  APPLE_OBS_SPAN("ctrl.domain.initialize");
   APPLE_CHECK(!initialized_);
   const std::size_t K = num_domains();
   ApplyReport report;
@@ -143,7 +143,7 @@ ApplyReport MultiDomainController::initialize(
   std::vector<core::PlacementPlan> plans(K);
   const core::OptimizationEngine engine(pipeline_.options().engine);
   {
-    APPLE_OBS_EVENT_SPAN("ctrl.domain.propose");
+    APPLE_OBS_SPAN("ctrl.domain.propose");
     for_each_domain([&](std::size_t d) {
       core::PlacementInput input{topo_, domain_classes[d], chains_};
       plans[d] = engine.place(input);
@@ -159,7 +159,7 @@ ApplyReport MultiDomainController::initialize(
     residual[v] = topo_->node(v).host_cores;
   }
   {
-    APPLE_OBS_EVENT_SPAN("ctrl.domain.reconcile");
+    APPLE_OBS_SPAN("ctrl.domain.reconcile");
     for (std::size_t d = 0; d < K; ++d) {
       std::vector<double> usage;
       bool conflict = !plans[d].feasible;
@@ -189,7 +189,7 @@ ApplyReport MultiDomainController::initialize(
   // Phase 3 — commit: assemble epochs and install the per-domain data
   // planes only now, after every claim was granted.
   {
-    APPLE_OBS_EVENT_SPAN("ctrl.domain.commit");
+    APPLE_OBS_SPAN("ctrl.domain.commit");
     for_each_domain([&](std::size_t d) {
       Domain& dom = domains_[d];
       dom.epoch = pipeline_.assemble_epoch(
@@ -213,7 +213,7 @@ ApplyReport MultiDomainController::initialize(
 }
 
 ApplyReport MultiDomainController::apply(const PolicyBatch& batch) {
-  APPLE_OBS_SPAN("ctrl.domain.apply_seconds");
+  APPLE_OBS_SPAN("ctrl.domain.apply");
   APPLE_CHECK(initialized_);
   const std::size_t K = num_domains();
   APPLE_CHECK_EQ(batch.per_domain.size(), K);
@@ -292,7 +292,7 @@ ApplyReport MultiDomainController::apply(const PolicyBatch& batch) {
   // Phase 1 — propose: dirty domains run their incremental pipelines
   // concurrently; the previous epochs keep serving untouched.
   {
-    APPLE_OBS_EVENT_SPAN("ctrl.domain.propose");
+    APPLE_OBS_SPAN("ctrl.domain.propose");
     for_each_domain([&](std::size_t d) {
       Proposal& p = props[d];
       if (!p.dirty) return;
@@ -325,7 +325,7 @@ ApplyReport MultiDomainController::apply(const PolicyBatch& batch) {
     }
   }
   {
-    APPLE_OBS_EVENT_SPAN("ctrl.domain.reconcile");
+    APPLE_OBS_SPAN("ctrl.domain.reconcile");
     for (std::size_t d = 0; d < K; ++d) {
       Proposal& p = props[d];
       if (!p.dirty) continue;
@@ -369,7 +369,7 @@ ApplyReport MultiDomainController::apply(const PolicyBatch& batch) {
   // adopt the new epochs. Until here every data plane still served its
   // previous, fully consistent rule state.
   {
-    APPLE_OBS_EVENT_SPAN("ctrl.domain.commit");
+    APPLE_OBS_SPAN("ctrl.domain.commit");
     for_each_domain([&](std::size_t d) {
       Proposal& p = props[d];
       if (!p.granted) return;

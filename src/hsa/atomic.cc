@@ -47,7 +47,7 @@ std::pair<std::vector<BddRef>, std::vector<std::vector<std::size_t>>> refine(
 
 AtomicPredicates compute_atomic_predicates(
     BddManager& mgr, std::span<const BddRef> predicates) {
-  APPLE_OBS_SPAN("hsa.atomic.compute_seconds");
+  APPLE_OBS_SPAN("hsa.atomic.compute");
   auto [atoms, sigs] = refine(mgr, predicates);
   AtomicPredicates out;
   out.atoms = std::move(atoms);

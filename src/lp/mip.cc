@@ -94,8 +94,7 @@ VarId most_fractional(const std::vector<VarId>& int_vars,
 }  // namespace
 
 MipResult MipSolver::solve(const LpModel& model) const {
-  APPLE_OBS_SPAN("lp.mip.solve_seconds");
-  APPLE_OBS_EVENT_SPAN("lp.mip.solve");
+  APPLE_OBS_SPAN("lp.mip.solve");
   APPLE_OBS_COUNT("lp.mip.solves");
   options_.validate();
   std::uint64_t nodes_pruned = 0;

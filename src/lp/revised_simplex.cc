@@ -623,7 +623,7 @@ void RevisedSimplex::snapshot_basis() {
 
 LpSolution RevisedSimplex::solve(std::span<const double> lower,
                                  std::span<const double> upper) {
-  APPLE_OBS_SPAN("lp.simplex.solve_seconds");
+  APPLE_OBS_SPAN("lp.simplex.solve");
   stats_ = {};
   trouble_ = false;
   iterations_ = 0;
@@ -651,7 +651,7 @@ LpSolution RevisedSimplex::solve(std::span<const double> lower,
 LpSolution RevisedSimplex::solve_warm(std::span<const double> lower,
                                       std::span<const double> upper,
                                       const SimplexBasis& warm) {
-  APPLE_OBS_SPAN("lp.simplex.solve_seconds");
+  APPLE_OBS_SPAN("lp.simplex.solve");
   stats_ = {};
   trouble_ = false;
   iterations_ = 0;

@@ -440,7 +440,7 @@ LpSolution SimplexSolver::solve(const LpModel& model,
 LpSolution solve_dense(const LpModel& model, const SolveContext& ctx,
                        const SimplexOptions& options) {
   options.validate();
-  APPLE_OBS_SPAN("lp.simplex.solve_seconds");
+  APPLE_OBS_SPAN("lp.simplex.solve");
   LpSolution out = solve_tableau(model, ctx, options);
   APPLE_OBS_COUNT("lp.simplex.solves");
   APPLE_OBS_COUNT_N("lp.simplex.iterations", out.iterations);

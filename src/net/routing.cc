@@ -62,7 +62,7 @@ std::optional<Path> ShortestPathTree::path_to(NodeId dst) const {
 }
 
 AllPairsPaths::AllPairsPaths(const Topology& topo) {
-  APPLE_OBS_SPAN("net.routing.all_pairs_build_seconds");
+  APPLE_OBS_SPAN("net.routing.all_pairs_build");
   trees_.reserve(topo.num_nodes());
   for (NodeId s = 0; s < topo.num_nodes(); ++s) trees_.emplace_back(topo, s);
   APPLE_OBS_COUNT_N("net.routing.trees_built", trees_.size());

@@ -259,21 +259,27 @@ EpochScope::~EpochScope() {
   if (active_) exchange_context(saved_);
 }
 
-EventSpan::EventSpan(EventLog& log, EventId id) : log_(&log), id_(id) {
-  if (!log.enabled()) return;
-  active_ = true;
-  span_ = log.next_span_id();
-  const CausalContext parent = current_context();
-  saved_ = exchange_context({parent.epoch, span_});
-  log.record(id, EventPhase::kBegin, parent.span);
+Span::Span(MetricsRegistry& registry, Histogram& histogram, EventLog& log,
+           EventId id)
+    : registry_(&registry), histogram_(&histogram), log_(&log), id_(id) {
+  if (log.enabled()) {
+    active_ = true;
+    const CausalContext parent = current_context();
+    saved_ = exchange_context({parent.epoch, log.next_span_id()});
+    log.record(id, EventPhase::kBegin, parent.span);
+  }
+  start_ = registry.clock_now();
 }
 
-EventSpan::~EventSpan() {
-  if (!active_) return;
-  // End is recorded under the span's own context so begin/end pair on the
-  // (epoch, span) key even when nested spans ran in between.
-  log_->record(id_, EventPhase::kEnd, saved_.span);
-  exchange_context(saved_);
+Span::~Span() {
+  const double elapsed = registry_->clock_now() - start_;
+  if (active_) {
+    // End is recorded under the span's own context so begin/end pair on the
+    // (epoch, span) key even when nested spans ran in between.
+    log_->record(id_, EventPhase::kEnd, saved_.span);
+    exchange_context(saved_);
+  }
+  histogram_->observe(elapsed);
 }
 
 // --- Crash dumps -------------------------------------------------------------

@@ -16,11 +16,15 @@
 //    one ring write under a thread-owned mutex. With
 //    -DAPPLE_ENABLE_METRICS=OFF the macros compile to nothing.
 //  * Causal context is thread-local. `EpochScope` allocates the next epoch
-//    id and pins it for the scope; `EventSpan` allocates a span id, emits
-//    the begin/end pair, and nests (the event's `arg` on begin/end is the
+//    id and pins it for the scope; `Span` allocates a span id, emits the
+//    begin/end pair, and nests (the event's `arg` on begin/end is the
 //    parent span id). `exec::ThreadPool` captures `current_context()` at
 //    submit time and installs it around task execution, so fork/join
 //    solver work is attributed to the epoch that spawned it.
+//  * `Span` is also the timing primitive: APPLE_OBS_SPAN(name) journals
+//    the begin/end pair named `name` and observes the elapsed registry-
+//    clock time into histogram `name + "_seconds"` — one scope, one span,
+//    both sinks.
 //  * Rings overwrite oldest events (the journal is the *last N* per
 //    thread); per-name totals keep counting past the wrap, so
 //    `export_counters()` publishes exact `obs.event.<name>` counts even
@@ -125,7 +129,7 @@ class EventLog {
   // on first use). No-op when disabled. `id` must come from intern().
   void record(EventId id, EventPhase phase, std::uint64_t arg);
 
-  // Monotonic id allocators backing EpochScope / EventSpan. Ids start at 1
+  // Monotonic id allocators backing EpochScope / Span. Ids start at 1
   // (0 means "none") and restart after reset().
   std::uint64_t next_epoch_id() {
     return epoch_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -200,21 +204,27 @@ class EpochScope {
   bool active_ = false;
 };
 
-// RAII span: emits a begin/end event pair carrying a fresh span id and
+// RAII span — what APPLE_OBS_SPAN opens. While `log` is enabled at
+// construction it emits a begin/end event pair carrying a fresh span id and
 // nests via the thread-local context (the pair's `arg` is the parent span
-// id). Inactive (records nothing, consumes no id) when the log is disabled
-// at construction.
-class EventSpan {
+// id); a disabled log records nothing and consumes no id. Either way the
+// elapsed time on `registry`'s clock is observed into `histogram` when the
+// span closes. Each sink reads its own injected clock: the journal the
+// log's, the histogram the registry's.
+class Span {
  public:
-  EventSpan(EventLog& log, EventId id);
-  ~EventSpan();
-  EventSpan(const EventSpan&) = delete;
-  EventSpan& operator=(const EventSpan&) = delete;
+  Span(MetricsRegistry& registry, Histogram& histogram, EventLog& log,
+       EventId id);
+  ~Span();
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
  private:
+  MetricsRegistry* registry_;
+  Histogram* histogram_;
   EventLog* log_;
   EventId id_;
-  std::uint64_t span_ = 0;
+  double start_ = 0.0;
   CausalContext saved_;
   bool active_ = false;
 };

@@ -166,8 +166,6 @@ class Histogram {
 std::vector<double> default_time_buckets_seconds();
 std::vector<double> default_size_buckets();
 
-class TraceSink;  // obs/trace.h
-
 class MetricsRegistry {
  public:
   MetricsRegistry();
@@ -187,15 +185,10 @@ class MetricsRegistry {
   // (later calls with the same name return the existing instrument).
   Histogram& histogram(std::string_view name, std::vector<double> bounds);
 
-  // Injected time source for spans/timers; defaults to
+  // Injected time source for span durations; defaults to
   // steady_clock_seconds. Never sampled except through clock_now().
   void set_clock(Clock clock);
   double clock_now() const { return clock_(); }
-
-  // Optional trace sink; not owned. When set, TraceSpan emits Chrome
-  // trace events alongside the histogram record.
-  void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
-  TraceSink* trace_sink() const { return trace_sink_; }
 
   // Zeroes every instrument, keeping the objects (cached references stay
   // valid). Used by tests and between bench repetitions.
@@ -226,7 +219,6 @@ class MetricsRegistry {
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
   Clock clock_;
-  TraceSink* trace_sink_ = nullptr;
   std::mutex mutex_;  // guards the three maps on lookup and reset
 };
 

@@ -12,11 +12,6 @@
 //   APPLE_OBS_GAUGE_MAX(name, v)        — gauge = max(gauge, v)  (high-water)
 //   APPLE_OBS_OBSERVE(name, v)          — histogram.observe(v), default
 //                                         time buckets
-//   APPLE_OBS_SPAN(name)                — RAII span for the rest of the
-//                                         scope: elapsed registry-clock
-//                                         time into histogram `name`, plus
-//                                         a Chrome trace event when a sink
-//                                         is attached
 //
 // Flight-recorder events (obs/event_log.h) write to
 // `obs::default_event_log()` and cache the interned EventId the same way:
@@ -24,12 +19,19 @@
 //   APPLE_OBS_EVENT(name)               — instant event, arg 0
 //   APPLE_OBS_EVENT_N(name, a)          — instant event carrying one
 //                                         integer payload word
-//   APPLE_OBS_EVENT_SPAN(name)          — RAII begin/end event pair for
-//                                         the rest of the scope; allocates
-//                                         a span id and nests via the
-//                                         thread's causal context
 //   APPLE_OBS_EVENT_EPOCH()             — RAII causal-epoch scope: events
 //                                         below it carry a fresh epoch id
+//
+// Spans feed both sinks from one scope:
+//
+//   APPLE_OBS_SPAN(name)                — RAII obs::Span for the rest of
+//                                         the scope: a begin/end event
+//                                         pair named `name` nested via the
+//                                         thread's causal context (while
+//                                         the log is enabled), and the
+//                                         elapsed registry-clock time into
+//                                         histogram `name + "_seconds"`
+//                                         (always)
 //
 // When the tree is configured with -DAPPLE_ENABLE_METRICS=OFF the macros
 // compile to nothing: arguments are type-checked but evaluated zero times
@@ -37,9 +39,10 @@
 // instrumented hot paths carry no overhead in perf builds.
 #pragma once
 
+#include <string>
+
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 #define APPLE_OBS_CONCAT_INNER(a, b) a##b
 #define APPLE_OBS_CONCAT(a, b) APPLE_OBS_CONCAT_INNER(a, b)
@@ -84,10 +87,6 @@
     apple_obs_hist_.observe(static_cast<double>(v));                   \
   } while (false)
 
-#define APPLE_OBS_SPAN(name)                                           \
-  ::apple::obs::TraceSpan APPLE_OBS_CONCAT(apple_obs_span_, __LINE__)( \
-      ::apple::obs::default_registry(), name)
-
 #define APPLE_OBS_EVENT_N(name, a)                                     \
   do {                                                                 \
     static const ::apple::obs::EventId apple_obs_event_id_ =           \
@@ -99,17 +98,21 @@
 
 #define APPLE_OBS_EVENT(name) APPLE_OBS_EVENT_N(name, 0)
 
-// Expands to two declarations (cached id + RAII span), so it is a
-// statement for the rest of the enclosing block — same usage rule as
-// APPLE_OBS_SPAN.
-#define APPLE_OBS_EVENT_SPAN(name)                                       \
-  static const ::apple::obs::EventId APPLE_OBS_CONCAT(                   \
-      apple_obs_event_id_, __LINE__) =                                   \
-      ::apple::obs::default_event_log().intern(name);                    \
-  const ::apple::obs::EventSpan APPLE_OBS_CONCAT(apple_obs_event_span_,  \
-                                                 __LINE__)(              \
-      ::apple::obs::default_event_log(),                                 \
-      APPLE_OBS_CONCAT(apple_obs_event_id_, __LINE__))
+// Expands to three declarations (cached histogram, cached id, RAII span),
+// so it is a statement for the rest of the enclosing block.
+#define APPLE_OBS_SPAN(name)                                              \
+  static ::apple::obs::Histogram& APPLE_OBS_CONCAT(apple_obs_span_hist_,  \
+                                                   __LINE__) =            \
+      ::apple::obs::default_registry().histogram(std::string(name) +      \
+                                                 "_seconds");             \
+  static const ::apple::obs::EventId APPLE_OBS_CONCAT(apple_obs_span_id_, \
+                                                      __LINE__) =         \
+      ::apple::obs::default_event_log().intern(name);                     \
+  const ::apple::obs::Span APPLE_OBS_CONCAT(apple_obs_span_, __LINE__)(   \
+      ::apple::obs::default_registry(),                                   \
+      APPLE_OBS_CONCAT(apple_obs_span_hist_, __LINE__),                   \
+      ::apple::obs::default_event_log(),                                  \
+      APPLE_OBS_CONCAT(apple_obs_span_id_, __LINE__))
 
 #define APPLE_OBS_EVENT_EPOCH()                                         \
   const ::apple::obs::EpochScope APPLE_OBS_CONCAT(apple_obs_epoch_,     \
@@ -150,7 +153,6 @@
 #define APPLE_OBS_SPAN(name) APPLE_OBS_UNEVALUATED_1(name)
 #define APPLE_OBS_EVENT_N(name, a) APPLE_OBS_UNEVALUATED_2(name, a)
 #define APPLE_OBS_EVENT(name) APPLE_OBS_UNEVALUATED_1(name)
-#define APPLE_OBS_EVENT_SPAN(name) APPLE_OBS_UNEVALUATED_1(name)
 #define APPLE_OBS_EVENT_EPOCH() static_cast<void>(0)
 
 #endif  // APPLE_ENABLE_METRICS

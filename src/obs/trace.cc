@@ -1,74 +1,8 @@
 #include "obs/trace.h"
 
 #include <cstdlib>
-#include <fstream>
-
-#include "obs/json.h"
 
 namespace apple::obs {
-
-namespace {
-
-// "lp.simplex.solve" -> "lp"; spans without a dot fall into "app".
-std::string category_of(const std::string& name) {
-  const std::size_t dot = name.find('.');
-  return dot == std::string::npos ? std::string("app") : name.substr(0, dot);
-}
-
-}  // namespace
-
-std::string TraceSink::chrome_trace_json() const {
-  const std::vector<TraceEvent> snapshot = events();
-  json::Writer w;
-  w.begin_object();
-  w.key("displayTimeUnit");
-  w.value("ms");
-  w.key("traceEvents");
-  w.begin_array();
-  for (const TraceEvent& ev : snapshot) {
-    w.begin_object();
-    w.key("name");
-    w.value(ev.name);
-    w.key("cat");
-    w.value(ev.category.empty() ? category_of(ev.name) : ev.category);
-    w.key("ph");
-    w.value("X");  // complete event: ts + dur
-    w.key("ts");
-    w.value(ev.start_seconds * 1e6);  // microseconds
-    w.key("dur");
-    w.value(ev.duration_seconds * 1e6);
-    w.key("pid");
-    w.value(std::uint64_t{1});
-    w.key("tid");
-    w.value(std::uint64_t{1});
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.take();
-}
-
-bool TraceSink::write_chrome_trace_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << chrome_trace_json() << "\n";
-  return static_cast<bool>(out);
-}
-
-TraceSpan::TraceSpan(MetricsRegistry& registry, const char* name)
-    : registry_(&registry), name_(name), start_(registry.clock_now()) {}
-
-TraceSpan::~TraceSpan() {
-  const double end = registry_->clock_now();
-  registry_->histogram(name_).observe(end - start_);
-  if (TraceSink* sink = registry_->trace_sink(); sink != nullptr) {
-    TraceEvent ev;
-    ev.name = name_;
-    ev.start_seconds = start_;
-    ev.duration_seconds = end - start_;
-    sink->record(std::move(ev));
-  }
-}
 
 TraceRequest trace_request_from_env(const std::string& default_path) {
   TraceRequest req;

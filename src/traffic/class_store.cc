@@ -133,7 +133,7 @@ ClassStore build_class_store(const net::Topology& topo,
                              const TrafficMatrix& tm,
                              const ChainAssignment& chains_for,
                              const StoreBuildOptions& options) {
-  APPLE_OBS_SPAN("traffic.store.build_seconds");
+  APPLE_OBS_SPAN("traffic.store.build");
   if (tm.size() != topo.num_nodes()) {
     throw std::invalid_argument("traffic matrix size != topology size");
   }
@@ -264,7 +264,7 @@ std::size_t update_rates(ClassStore& store, const TrafficMatrix& tm,
                          const ChainAssignment& chains_for,
                          const RateAgingOptions& aging,
                          exec::ThreadPool* pool) {
-  APPLE_OBS_SPAN("traffic.store.update_rates_seconds");
+  APPLE_OBS_SPAN("traffic.store.update_rates");
   aging.validate();
   if (store.num_shards() == 0) return 0;
   const double decay = aging.decay;

@@ -204,6 +204,46 @@ TEST_F(FaultReplayTest, CorrelatedBurstRepairsBothCrashes) {
   EXPECT_EQ(result.recovery.policy_violations, 0u);
 }
 
+TEST_F(FaultReplayTest, CrashReplacementBeforeNodeSwapKeepsIdsApart) {
+  // A node-down on the busiest host and a crash elsewhere land before the
+  // same poll: the crash replacement launches while the node repair's
+  // re-placement waits for its swap, so the swap must take its instance
+  // ids only then, past the replacement's.
+  net::NodeId busiest = net::kInvalidNode;
+  std::size_t most = 0;
+  for (net::NodeId v = 0; v < epoch_.inventory.by_node_type.size(); ++v) {
+    std::size_t count = 0;
+    for (const auto& ids : epoch_.inventory.by_node_type[v]) {
+      count += ids.size();
+    }
+    if (count > most) {
+      most = count;
+      busiest = v;
+    }
+  }
+  ASSERT_NE(busiest, net::kInvalidNode);
+  std::vector<fault::FaultEvent> events;
+  fault::FaultEvent down;
+  down.fault_id = 0;
+  down.at = 1.01;
+  down.kind = fault::FaultKind::kNodeDown;
+  down.node = busiest;
+  events.push_back(down);
+  fault::FaultEvent crash;
+  crash.fault_id = 1;
+  crash.at = 1.02;
+  crash.kind = fault::FaultKind::kInstanceCrash;
+  crash.ordinal = 0;
+  events.push_back(crash);
+
+  FaultReplayResult result;
+  ASSERT_NO_THROW(result = run(fault::FaultSchedule(std::move(events))));
+  EXPECT_EQ(result.recovery.injected, 2u);
+  EXPECT_TRUE(result.recovery.all_repaired())
+      << result.recovery.fingerprint();
+  EXPECT_EQ(result.recovery.policy_violations, 0u);
+}
+
 // A fault-free fault replay runs the live system a plain replay runs, with
 // the controller's timing: the same per-snapshot losses and the same
 // clock, at any snapshot length.

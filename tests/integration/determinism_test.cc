@@ -245,18 +245,22 @@ TEST(DeterminismRegression, GeantEpochFlightJournalIsByteIdentical) {
   const std::string second = run_journal();
   EXPECT_EQ(first, second);
 
-  // Not vacuous: the epoch actually recorded pipeline and rule events.
+  // Not vacuous: the epoch actually recorded pipeline, engine and rule
+  // events (core.engine.place is an APPLE_OBS_SPAN: spans journal too).
   const auto doc = obs::json::parse(first);
   ASSERT_TRUE(doc.has_value());
   const obs::json::Value* journal = doc->find("journal");
   ASSERT_NE(journal, nullptr);
   bool saw_epoch = false;
+  bool saw_engine = false;
   bool saw_rules = false;
   for (const auto& name : journal->find("names")->items) {
     if (name.string == "core.pipeline.epoch") saw_epoch = true;
+    if (name.string == "core.engine.place") saw_engine = true;
     if (name.string == "dataplane.rules.install") saw_rules = true;
   }
   EXPECT_TRUE(saw_epoch);
+  EXPECT_TRUE(saw_engine);
   EXPECT_TRUE(saw_rules);
   std::uint64_t events = 0;
   for (const auto& thread : journal->find("threads")->items) {

@@ -47,6 +47,8 @@ TEST(DisabledMacros, EvaluateArgumentsZeroTimes) {
   APPLE_OBS_OBSERVE(canary_name(), canary_value());
   APPLE_OBS_OBSERVE_SIZE(canary_name(), canary_value());
   APPLE_OBS_SPAN(canary_name());
+  APPLE_OBS_EVENT(canary_name());
+  APPLE_OBS_EVENT_N(canary_name(), canary_value());
 
   EXPECT_EQ(g_name_evals, 0);
   EXPECT_EQ(g_value_evals, 0);
@@ -69,12 +71,13 @@ TEST(DisabledMacros, LeaveTheDefaultRegistryUntouched) {
 
 TEST(DisabledMacros, ComposeInsideControlFlow) {
   // Macros must stay single-statement-safe (usable as an un-braced if
-  // body) in the disabled build too.
+  // body) in the disabled build too; the loop body re-runs the
+  // zero-evaluation check on every iteration.
   const bool flag = true;
   if (flag)
-    APPLE_OBS_COUNT(canary_name());
+    APPLE_OBS_COUNT("canary.compose.taken");
   else
-    APPLE_OBS_COUNT(canary_name());
+    APPLE_OBS_COUNT("canary.compose.not_taken");
   for (int i = 0; i < 3; ++i) APPLE_OBS_OBSERVE(canary_name(), canary_value());
   EXPECT_EQ(g_name_evals, 0);
   EXPECT_EQ(g_value_evals, 0);

@@ -1,8 +1,9 @@
 // Flight-recorder semantics (DESIGN.md Sec. 13): interning, ring wrap,
-// causal context (EpochScope / EventSpan nesting, propagation across
+// causal context (EpochScope / Span nesting, propagation across
 // exec::ThreadPool), exact counters past the wrap, journal determinism,
-// reset, the runtime enable switch and the crash-dump path helpers. The
-// concurrent cases double as the tsan workload for the per-thread rings.
+// reset, the runtime enable switch and the crash-dump path helpers, plus
+// the Span's two sinks (journal and duration histogram). The concurrent
+// cases double as the tsan workload for the per-thread rings.
 #include "obs/event_log.h"
 
 #include <gtest/gtest.h>
@@ -56,6 +57,13 @@ std::vector<std::vector<ParsedEvent>> parse_threads(const EventLog& log) {
     threads.push_back(std::move(events));
   }
   return threads;
+}
+
+// A Span on `log` timing into a throwaway histogram, for the cases that
+// only look at the journal side.
+Span open_span(EventLog& log, EventId id) {
+  static MetricsRegistry registry;
+  return Span(registry, registry.histogram("obs.test.span_seconds"), log, id);
 }
 
 TEST(EventLog, InternDedupesAndNamesIndexById) {
@@ -123,8 +131,8 @@ TEST(EventLog, SpansNestAndCarryParentIds) {
   {
     EpochScope epoch(log);
     EXPECT_EQ(epoch.epoch_id(), 1u);
-    EventSpan a(log, outer);
-    { EventSpan b(log, inner); }
+    const Span a = open_span(log, outer);
+    { const Span b = open_span(log, inner); }
   }
 
   const auto threads = parse_threads(log);
@@ -161,7 +169,7 @@ TEST(EventLog, SpansNestedDeeperThanTheRingStayBalancedInTotals) {
   const EventId id = log.intern("lp.mip.solve");
   const std::function<void(int)> recurse = [&](int depth) {
     if (depth == 0) return;
-    const EventSpan span(log, id);
+    const Span span = open_span(log, id);
     recurse(depth - 1);
   };
   recurse(8);  // 8 begins going in, 8 ends unwinding
@@ -209,7 +217,7 @@ TEST(EventLog, DisabledRecordingConsumesNoIdsAndDropsEvents) {
     // deterministic across recording-off stretches.
     EpochScope epoch(log);
     EXPECT_EQ(epoch.epoch_id(), 0u);
-    EventSpan span(log, id);
+    const Span span = open_span(log, id);
     EXPECT_EQ(current_context().epoch, 0u);
   }
   log.set_enabled(true);
@@ -246,7 +254,7 @@ TEST(EventLog, JournalIsByteIdenticalAcrossIdenticalRuns) {
     log.set_clock([&t] { return t += 0.125; });
     const EventId stage = log.intern("core.pipeline.stage.place");
     EpochScope epoch(log);
-    EventSpan span(log, stage);
+    const Span span = open_span(log, stage);
     log.record(log.intern("lp.mip.node.solve"), EventPhase::kInstant, 3);
   };
   EventLog first(16);
@@ -271,7 +279,7 @@ TEST(EventLog, ThreadPoolTasksInheritTheSubmittersContext) {
   {
     EpochScope epoch(log);
     const EventId id = log.intern("core.pipeline.stage.place");
-    EventSpan span(log, id);
+    const Span span = open_span(log, id);
     exec::TaskGroup group(pool);
     group.run([&] {
       seen_epoch = current_context().epoch;
@@ -330,6 +338,105 @@ TEST(EventLog, ConcurrentRecordingKeepsPerThreadRingsIntact) {
       EXPECT_EQ(ring[i].id, ring[0].id);
       EXPECT_EQ(ring[i].arg, ring[i - 1].arg + 1);
     }
+  }
+}
+
+TEST(Span, RegistryClockTimesTheHistogramLogClockStampsTheJournal) {
+  MetricsRegistry reg;
+  double reg_t = 5.0;
+  reg.set_clock([&reg_t] { return reg_t; });
+  EventLog log(16);
+  double log_t = 100.0;
+  log.set_clock([&log_t] { return log_t; });
+  Histogram& hist = reg.histogram("mod.comp.op_seconds");
+  const EventId id = log.intern("mod.comp.op");
+  {
+    const Span span(reg, hist, log, id);
+    reg_t = 5.75;
+    log_t = 102.0;
+  }
+  ASSERT_EQ(hist.count(), 1u);
+  EXPECT_DOUBLE_EQ(hist.sum(), 0.75);
+
+  const auto threads = parse_threads(log);
+  ASSERT_EQ(threads.size(), 1u);
+  ASSERT_EQ(threads[0].size(), 2u);
+  EXPECT_EQ(threads[0][0].id, id);
+  EXPECT_EQ(threads[0][0].phase, EventPhase::kBegin);
+  EXPECT_DOUBLE_EQ(threads[0][0].t, 100.0);
+  EXPECT_EQ(threads[0][1].phase, EventPhase::kEnd);
+  EXPECT_DOUBLE_EQ(threads[0][1].t, 102.0);
+  EXPECT_EQ(threads[0][0].span, 1u);
+  EXPECT_EQ(threads[0][1].span, 1u);
+}
+
+TEST(Span, DisabledLogStillObservesTheHistogramAndConsumesNoIds) {
+  MetricsRegistry reg;
+  double t = 0.0;
+  reg.set_clock([&t] { return t; });
+  EventLog log(16);
+  log.set_clock([] { return 0.0; });
+  Histogram& hist = reg.histogram("obs.test.op_seconds");
+  const EventId id = log.intern("obs.test.op");
+  log.set_enabled(false);
+  {
+    const Span span(reg, hist, log, id);
+    EXPECT_EQ(current_context().span, 0u);
+    t = 0.5;
+  }
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_DOUBLE_EQ(hist.sum(), 0.5);
+  EXPECT_EQ(log.stats().recorded, 0u);
+
+  log.set_enabled(true);
+  {
+    const Span span(reg, hist, log, id);
+    EXPECT_EQ(current_context().span, 1u);  // first id ever allocated
+  }
+  EXPECT_EQ(hist.count(), 2u);
+  EXPECT_EQ(log.stats().recorded, 2u);
+}
+
+TEST(Span, ConcurrentSpansFromPoolWorkersLandOnceInBothSinks) {
+  // tsan workload: pool workers resolve the histogram in a bare registry
+  // and close spans on a bare log while the owning thread polls both.
+  // Every span must land exactly once in the histogram and as one
+  // begin/end pair in the journal, each pair under its own span id.
+  MetricsRegistry reg;
+  reg.set_clock([] { return 1.0; });
+  EventLog log;
+  log.set_clock([] { return 1.0; });
+  const EventId id = log.intern("obs.test.pool_span");
+  exec::ThreadPool pool(4);
+  exec::TaskGroup group(pool);
+  constexpr int kTasks = 64;
+  constexpr int kSpansPerTask = 25;
+  for (int i = 0; i < kTasks; ++i) {
+    group.run([&reg, &log, id] {
+      Histogram& hist = reg.histogram("obs.test.pool_span_seconds");
+      for (int n = 0; n < kSpansPerTask; ++n) {
+        const Span span(reg, hist, log, id);
+      }
+    });
+  }
+  (void)log.stats();  // racing snapshots while workers record
+  (void)reg.histogram("obs.test.pool_span_seconds").count();
+  group.wait();
+
+  constexpr std::uint64_t kSpans = kTasks * kSpansPerTask;
+  EXPECT_EQ(reg.histogram("obs.test.pool_span_seconds").count(), kSpans);
+  EXPECT_EQ(log.stats().recorded, 2 * kSpans);
+  EXPECT_EQ(log.stats().dropped, 0u);
+  std::vector<int> ends_per_span(kSpans + 1, 0);
+  for (const auto& ring : parse_threads(log)) {
+    for (const ParsedEvent& e : ring) {
+      ASSERT_GE(e.span, 1u);
+      ASSERT_LE(e.span, kSpans);
+      if (e.phase == EventPhase::kEnd) ++ends_per_span[e.span];
+    }
+  }
+  for (std::uint64_t s = 1; s <= kSpans; ++s) {
+    EXPECT_EQ(ends_per_span[s], 1) << "span " << s;
   }
 }
 

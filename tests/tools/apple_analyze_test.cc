@@ -464,8 +464,7 @@ TEST(MetricNameRule, LiteralLowercaseDottedNamesAreClean) {
         "  APPLE_OBS_COUNT(\"sim.queue.ticks\");\n"
         "  APPLE_OBS_COUNT_N(\"sim.queue.depth_total\", 3);\n"
         "  APPLE_OBS_EVENT_N(\"sim.queue.pop\", 7);\n"
-        "  APPLE_OBS_SPAN(\"sim.queue.drain_seconds\");\n"
-        "  APPLE_OBS_EVENT_SPAN(\"sim.queue.drain\");\n"
+        "  APPLE_OBS_SPAN(\"sim.queue.drain\");\n"
         "}\n"}});
   EXPECT_TRUE(findings_of(r, "metric-name").empty());
   EXPECT_TRUE(r.clean());

@@ -666,11 +666,11 @@ class MetricNameRule : public Rule {
  private:
   static const std::set<std::string, std::less<>>& name_taking_macros() {
     static const std::set<std::string, std::less<>> macros = {
-        "APPLE_OBS_COUNT",       "APPLE_OBS_COUNT_N",
-        "APPLE_OBS_GAUGE_SET",   "APPLE_OBS_GAUGE_MAX",
-        "APPLE_OBS_OBSERVE",     "APPLE_OBS_OBSERVE_SIZE",
-        "APPLE_OBS_SPAN",        "APPLE_OBS_EVENT",
-        "APPLE_OBS_EVENT_N",     "APPLE_OBS_EVENT_SPAN",
+        "APPLE_OBS_COUNT",     "APPLE_OBS_COUNT_N",
+        "APPLE_OBS_GAUGE_SET", "APPLE_OBS_GAUGE_MAX",
+        "APPLE_OBS_OBSERVE",   "APPLE_OBS_OBSERVE_SIZE",
+        "APPLE_OBS_SPAN",      "APPLE_OBS_EVENT",
+        "APPLE_OBS_EVENT_N",
     };
     return macros;
   }

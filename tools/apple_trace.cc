@@ -12,7 +12,9 @@
 //     every causal epoch, the wall-clock of each pipeline stage span, the
 //     solver share (lp.mip.solve) and the rule-install share
 //     (core.pipeline.stage.apply_rules), flagging the stage that ate the
-//     largest slice of the epoch budget.
+//     largest slice of the epoch budget. An epoch whose root span
+//     (core.pipeline.epoch / advance) the ring overwrote has no budget: it
+//     is marked truncated and its rows carry no shares and no flag.
 //
 // Timestamps are whatever clock the producing run injected — wall seconds
 // in benches, constant 0 in determinism tests (where the table degenerates
@@ -220,14 +222,37 @@ void print_attribution_table(const Journal& journal) {
 
   for (const auto& [epoch, stages] : per_epoch) {
     if (epoch == 0) continue;  // events outside any epoch scope
-    // The epoch budget is the root pipeline span of this epoch.
+    // The epoch budget is the root pipeline span of this epoch; an epoch
+    // that lost it to the ring prints as truncated.
     double wall = 0.0;
+    bool has_root = false;
     for (const char* root : {"core.pipeline.epoch", "core.pipeline.advance"}) {
       const auto it = stages.find(root);
-      if (it != stages.end()) wall += it->second.first;
+      if (it == stages.end()) continue;
+      wall += it->second.first;
+      has_root = true;
     }
-    std::printf("epoch %llu  wall %.6fs\n",
-                static_cast<unsigned long long>(epoch), wall);
+    if (has_root) {
+      std::printf("epoch %llu  wall %.6fs\n",
+                  static_cast<unsigned long long>(epoch), wall);
+    } else {
+      std::printf("epoch %llu  truncated (root span fell off the ring)\n",
+                  static_cast<unsigned long long>(epoch));
+    }
+    // One row: seconds and count, plus the share of the epoch budget when
+    // there is one.
+    const auto print_row = [&](const std::string& label,
+                               const std::pair<double, int>& cell,
+                               const char* flag) {
+      if (!has_root) {
+        std::printf("  %-40s %10.6fs  x%d\n", label.c_str(), cell.first,
+                    cell.second);
+        return;
+      }
+      const double share = wall > 0.0 ? 100.0 * cell.first / wall : 0.0;
+      std::printf("  %-40s %10.6fs  x%-5d %5.1f%%%s\n", label.c_str(),
+                  cell.first, cell.second, share, flag);
+    };
 
     // Stage rows, largest first. Only core.pipeline.stage.* spans compete
     // for the "ate the budget" flag — solver/dataplane spans nest inside
@@ -248,24 +273,13 @@ void print_attribution_table(const Journal& journal) {
     }
     for (const auto& [name, cell] : rows) {
       if (!starts_with(name, "core.pipeline.stage.")) continue;
-      const double share = wall > 0.0 ? 100.0 * cell.first / wall : 0.0;
-      std::printf("  %-40s %10.6fs  x%-5d %5.1f%%%s\n", name.c_str(),
-                  cell.first, cell.second, share,
-                  name == biggest_stage ? "  <- epoch budget" : "");
+      print_row(name, cell, name == biggest_stage ? "  <- epoch budget" : "");
     }
     const auto solver = stages.find("lp.mip.solve");
-    if (solver != stages.end()) {
-      const double share =
-          wall > 0.0 ? 100.0 * solver->second.first / wall : 0.0;
-      std::printf("  %-40s %10.6fs  x%-5d %5.1f%%\n", "solver share",
-                  solver->second.first, solver->second.second, share);
-    }
+    if (solver != stages.end()) print_row("solver share", solver->second, "");
     const auto rules = stages.find("core.pipeline.stage.apply_rules");
     if (rules != stages.end()) {
-      const double share =
-          wall > 0.0 ? 100.0 * rules->second.first / wall : 0.0;
-      std::printf("  %-40s %10.6fs  x%-5d %5.1f%%\n", "rule-install share",
-                  rules->second.first, rules->second.second, share);
+      print_row("rule-install share", rules->second, "");
     }
     const auto inst = instants.find(epoch);
     if (inst != instants.end()) {
