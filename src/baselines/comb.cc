@@ -13,7 +13,7 @@ CombPlacement place_comb(const core::PlacementInput& input) {
   result.plan.strategy = "comb-consolidation";
   result.plan.instance_count.assign(
       topo.num_nodes(), std::array<std::uint32_t, vnf::kNumNfTypes>{});
-  result.plan.distribution.resize(input.classes.size());
+  result.plan.distribution.reserve(input.classes.size());
 
   std::vector<double> node_load(topo.num_nodes(), 0.0);
   std::vector<std::array<double, vnf::kNumNfTypes>> load(
@@ -22,8 +22,8 @@ CombPlacement place_comb(const core::PlacementInput& input) {
   for (std::size_t h = 0; h < input.classes.size(); ++h) {
     const traffic::TrafficClass& cls = input.classes[h];
     const vnf::PolicyChain& chain = input.chain_of(cls);
-    result.plan.distribution[h].fraction.assign(
-        cls.path.size(), std::vector<double>(chain.size(), 0.0));
+    core::ClassDistribution& d =
+        result.plan.distribution.emplace_back(cls.path.size(), chain.size());
 
     // Least-loaded host on the path hosts the consolidated box.
     std::size_t best = cls.path.size();
@@ -39,7 +39,7 @@ CombPlacement place_comb(const core::PlacementInput& input) {
     }
     node_load[cls.path[best]] += cls.rate_mbps;
     for (std::size_t j = 0; j < chain.size(); ++j) {
-      result.plan.distribution[h].fraction[best][j] = 1.0;
+      d(best, j) = 1.0;
       load[cls.path[best]][static_cast<std::size_t>(chain[j])] +=
           cls.rate_mbps;
     }

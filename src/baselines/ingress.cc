@@ -13,7 +13,7 @@ core::PlacementPlan place_ingress(const core::PlacementInput& input,
   plan.strategy = "ingress-strawman";
   plan.instance_count.assign(topo.num_nodes(),
                              std::array<std::uint32_t, vnf::kNumNfTypes>{});
-  plan.distribution.resize(input.classes.size());
+  plan.distribution.reserve(input.classes.size());
 
   // Per-(ingress, type) pooled load: classes sharing an ingress share its
   // instances, but every ingress must host at least one instance of every
@@ -25,10 +25,10 @@ core::PlacementPlan place_ingress(const core::PlacementInput& input,
   for (std::size_t h = 0; h < input.classes.size(); ++h) {
     const traffic::TrafficClass& cls = input.classes[h];
     const vnf::PolicyChain& chain = input.chain_of(cls);
-    plan.distribution[h].fraction.assign(
-        cls.path.size(), std::vector<double>(chain.size(), 0.0));
+    core::ClassDistribution& d =
+        plan.distribution.emplace_back(cls.path.size(), chain.size());
     for (std::size_t j = 0; j < chain.size(); ++j) {
-      plan.distribution[h].fraction[0][j] = 1.0;
+      d(0, j) = 1.0;
       load[cls.path.front()][static_cast<std::size_t>(chain[j])] +=
           cls.rate_mbps;
     }

@@ -12,7 +12,7 @@ PacePlacement place_pace(const core::PlacementInput& input) {
   result.plan.strategy = "pace-vm-placement";
   result.plan.instance_count.assign(
       topo.num_nodes(), std::array<std::uint32_t, vnf::kNumNfTypes>{});
-  result.plan.distribution.resize(input.classes.size());
+  result.plan.distribution.reserve(input.classes.size());
 
   std::vector<double> node_load(topo.num_nodes(), 0.0);
   std::vector<std::array<double, vnf::kNumNfTypes>> load(
@@ -22,8 +22,8 @@ PacePlacement place_pace(const core::PlacementInput& input) {
   for (std::size_t h = 0; h < input.classes.size(); ++h) {
     const traffic::TrafficClass& cls = input.classes[h];
     const vnf::PolicyChain& chain = input.chain_of(cls);
-    result.plan.distribution[h].fraction.assign(
-        cls.path.size(), std::vector<double>(chain.size(), 0.0));
+    core::ClassDistribution& d =
+        result.plan.distribution.emplace_back(cls.path.size(), chain.size());
     for (std::size_t j = 0; j < chain.size(); ++j) {
       // Least-loaded host anywhere — chain order and path ignored.
       const net::NodeId host = *std::min_element(
@@ -37,9 +37,7 @@ PacePlacement place_pace(const core::PlacementInput& input) {
       if (on_path == cls.path.end()) {
         ++result.off_path_stages;
       } else {
-        result.plan.distribution[h]
-            .fraction[static_cast<std::size_t>(on_path - cls.path.begin())]
-                     [j] = 1.0;
+        d(static_cast<std::size_t>(on_path - cls.path.begin()), j) = 1.0;
       }
     }
   }

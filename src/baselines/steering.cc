@@ -33,7 +33,7 @@ SteeringPlacement place_steering(const core::PlacementInput& input,
   result.plan.strategy = "traffic-steering";
   result.plan.instance_count.assign(
       topo.num_nodes(), std::array<std::uint32_t, vnf::kNumNfTypes>{});
-  result.plan.distribution.resize(input.classes.size());
+  result.plan.distribution.reserve(input.classes.size());
   result.new_paths.resize(input.classes.size());
 
   std::vector<std::array<double, vnf::kNumNfTypes>> load(
@@ -79,8 +79,7 @@ SteeringPlacement place_steering(const core::PlacementInput& input,
     // Distribution bookkeeping is kept against the *original* path for
     // compatibility; steering enforces chains on the steered path instead,
     // so the d-matrix is left empty on purpose.
-    result.plan.distribution[h].fraction.assign(
-        cls.path.size(), std::vector<double>(chain.size(), 0.0));
+    result.plan.distribution.emplace_back(cls.path.size(), chain.size());
   }
   result.mean_path_stretch =
       measured > 0 ? stretch_sum / static_cast<double>(measured) : 1.0;

@@ -161,18 +161,16 @@ PlacementPlan IlpBuilder::extract_plan(const PlacementInput& input,
           static_cast<std::uint32_t>(std::lround(std::max(0.0, x[var])));
     }
   }
-  plan.distribution.resize(input.classes.size());
+  plan.distribution.reserve(input.classes.size());
   for (std::size_t h = 0; h < input.classes.size(); ++h) {
     const traffic::TrafficClass& cls = input.classes[h];
     const vnf::PolicyChain& chain = input.chain_of(cls);
-    plan.distribution[h].fraction.assign(
-        cls.path.size(), std::vector<double>(chain.size(), 0.0));
+    ClassDistribution& d =
+        plan.distribution.emplace_back(cls.path.size(), chain.size());
     for (std::size_t i = 0; i < cls.path.size(); ++i) {
       for (std::size_t j = 0; j < chain.size(); ++j) {
         const lp::VarId var = d_index_[h][i][j];
-        if (var != kInvalidVar) {
-          plan.distribution[h].fraction[i][j] = std::max(0.0, x[var]);
-        }
+        if (var != kInvalidVar) d(i, j) = std::max(0.0, x[var]);
       }
     }
   }

@@ -21,12 +21,10 @@ PlacementPlan empty_plan(const PlacementInput& input) {
   PlacementPlan plan;
   plan.instance_count.assign(input.topology->num_nodes(),
                              std::array<std::uint32_t, vnf::kNumNfTypes>{});
-  plan.distribution.resize(input.classes.size());
-  for (std::size_t h = 0; h < input.classes.size(); ++h) {
-    const traffic::TrafficClass& cls = input.classes[h];
-    plan.distribution[h].fraction.assign(
-        cls.path.size(),
-        std::vector<double>(input.chain_of(cls).size(), 0.0));
+  plan.distribution.reserve(input.classes.size());
+  for (const traffic::TrafficClass& cls : input.classes) {
+    plan.distribution.emplace_back(cls.path.size(),
+                                   input.chain_of(cls).size());
   }
   return plan;
 }
@@ -39,13 +37,20 @@ struct NodeTypeState {
 
 // The water-filling fill's working state. A from-scratch fill starts empty;
 // the incremental path seeds it with the previous plan's instances and the
-// pinned classes' load before filling only the dirty classes.
+// pinned classes' load before filling only the dirty classes. `host_cores`
+// copies A_v out of the topology so the inner loops index a flat array.
 struct FillState {
   std::vector<std::array<NodeTypeState, vnf::kNumNfTypes>> state;
   std::vector<double> cores_used;
+  std::vector<double> host_cores;
 
-  explicit FillState(std::size_t num_nodes)
-      : state(num_nodes), cores_used(num_nodes, 0.0) {}
+  explicit FillState(const net::Topology& topo)
+      : state(topo.num_nodes()), cores_used(topo.num_nodes(), 0.0) {
+    host_cores.reserve(topo.num_nodes());
+    for (const net::Node& node : topo.nodes()) {
+      host_cores.push_back(node.host_cores);
+    }
+  }
 };
 
 // Most-constrained-first: classes with short paths have the fewest host
@@ -64,6 +69,14 @@ std::vector<std::size_t> constrained_order(const PlacementInput& input,
   return order;
 }
 
+// The constrained order of every class, computed once per place and shared
+// by all of its fills.
+std::vector<std::size_t> constrained_order(const PlacementInput& input) {
+  std::vector<std::size_t> order(input.classes.size());
+  std::iota(order.begin(), order.end(), 0);
+  return constrained_order(input, std::move(order));
+}
+
 // Water-fills the classes in `order` into `fs` (on top of whatever load it
 // already carries), preferring positions with residual capacity, then the
 // highest `popularity[v][n]`. Returns false (with the reason recorded on
@@ -73,45 +86,61 @@ bool fill_classes(
     const std::vector<std::array<double, vnf::kNumNfTypes>>& popularity,
     const std::vector<std::size_t>& order, PlacementPlan& plan,
     FillState& fs) {
-  const net::Topology& topo = *input.topology;
   auto& state = fs.state;
   auto& cores_used = fs.cores_used;
+  const std::vector<double>& host_cores = fs.host_cores;
+
+  // Scratch reused by every class (assign() keeps the capacity): the
+  // cumulative fractions of the previous and the current stage per path
+  // position, the suffix slack, banned positions, the chain's specs and
+  // suffix_avail, row-major [chain stage][path position].
+  std::vector<double> prev_prefix;
+  std::vector<double> cur_prefix;
+  std::vector<double> slack;
+  std::vector<char> banned;
+  std::vector<const vnf::NfSpec*> specs;
+  std::vector<double> suffix_avail;
 
   for (const std::size_t h : order) {
     const traffic::TrafficClass& cls = input.classes[h];
     const vnf::PolicyChain& chain = input.chain_of(cls);
-    auto& fraction = plan.distribution[h].fraction;
+    const std::size_t len = cls.path.size();
+    ClassDistribution& d = plan.distribution[h];
 
     if (cls.rate_mbps <= kEps) {
       // Zero-rate class: process everything at the first host on the path.
-      std::size_t host_index = cls.path.size();
-      for (std::size_t i = 0; i < cls.path.size(); ++i) {
-        if (topo.node(cls.path[i]).has_host()) {
+      std::size_t host_index = len;
+      for (std::size_t i = 0; i < len; ++i) {
+        if (host_cores[cls.path[i]] > 0.0) {
           host_index = i;
           break;
         }
       }
-      if (host_index == cls.path.size()) {
+      if (host_index == len) {
         plan.infeasibility_reason =
             "class " + std::to_string(h) + ": no APPLE host on path";
         return false;
       }
       for (std::size_t j = 0; j < chain.size(); ++j) {
-        fraction[host_index][j] = 1.0;
+        d(host_index, j) = 1.0;
       }
       continue;
     }
 
+    specs.clear();
+    for (const vnf::NfType type : chain) specs.push_back(&vnf::spec_of(type));
+    slack.resize(len);
+    suffix_avail.resize(chain.size() * len);
     // prev_prefix[i]: cumulative fraction of the previous stage processed
     // up to path index i (stage 0 may start anywhere: all ones).
-    std::vector<double> prev_prefix(cls.path.size(), 1.0);
+    prev_prefix.assign(len, 1.0);
     for (std::size_t j = 0; j < chain.size(); ++j) {
       const vnf::NfType type = chain[j];
       const std::size_t n = static_cast<std::size_t>(type);
-      const vnf::NfSpec& spec = vnf::spec_of(type);
+      const vnf::NfSpec& spec = *specs[j];
       double assigned = 0.0;
-      std::vector<double> cur_prefix(cls.path.size(), 0.0);
-      std::vector<bool> banned(cls.path.size(), false);
+      cur_prefix.assign(len, 0.0);
+      banned.assign(len, 0);
       // Candidate loop: repeatedly pick the best position with Eq. 3 slack,
       // preferring residual capacity of already-open instances, then
       // cross-class popularity (pool where many classes pass), then the
@@ -120,9 +149,8 @@ bool fill_classes(
       while (assigned < 1.0 - kEps && ++guard <= 1000) {
         // Suffix slack: the largest fraction addable at position i without
         // violating the precedence prefix anywhere downstream.
-        std::vector<double> slack(cls.path.size());
         double suffix_min = 2.0;
-        for (std::size_t i = cls.path.size(); i-- > 0;) {
+        for (std::size_t i = len; i-- > 0;) {
           suffix_min = std::min(suffix_min, prev_prefix[i] - cur_prefix[i]);
           slack[i] = suffix_min;
         }
@@ -130,24 +158,23 @@ bool fill_classes(
         // later stage to positions >= i (Eq. 3). suffix_avail[k][i] is the
         // capacity (residual + openable) stage k can still reach in the
         // path suffix [i, end).
-        std::vector<std::vector<double>> suffix_avail(chain.size());
         for (std::size_t k = j + 1; k < chain.size(); ++k) {
           const std::size_t nk = static_cast<std::size_t>(chain[k]);
-          const vnf::NfSpec& spec_k = vnf::spec_of(chain[k]);
-          suffix_avail[k].assign(cls.path.size(), 0.0);
+          const vnf::NfSpec& spec_k = *specs[k];
+          double* avail_k = suffix_avail.data() + k * len;
           double avail = 0.0;
-          for (std::size_t i = cls.path.size(); i-- > 0;) {
+          for (std::size_t i = len; i-- > 0;) {
             const net::NodeId v = cls.path[i];
-            if (topo.node(v).has_host()) {
+            if (host_cores[v] > 0.0) {
               const NodeTypeState& nts = state[v][nk];
               avail += std::max(
                   0.0, nts.instances * spec_k.capacity_mbps - nts.used_mbps);
               const double openable = std::floor(
-                  (topo.node(v).host_cores - cores_used[v] + kEps) /
+                  (host_cores[v] - cores_used[v] + kEps) /
                   spec_k.cores_required);
               avail += std::max(0.0, openable) * spec_k.capacity_mbps;
             }
-            suffix_avail[k][i] = avail;
+            avail_k[i] = avail;
           }
         }
         // future_ok(i): every later stage keeps enough reachable capacity
@@ -164,16 +191,16 @@ bool fill_classes(
           const double opened_cores =
               std::ceil(need_mbps_here / spec.capacity_mbps - kEps) *
               spec.cores_required;
-          const double free_before = topo.node(v).host_cores - cores_used[v];
+          const double free_before = host_cores[v] - cores_used[v];
           const double free_after = std::max(0.0, free_before - opened_cores);
           for (std::size_t k = j + 1; k < chain.size(); ++k) {
-            const vnf::NfSpec& spec_k = vnf::spec_of(chain[k]);
+            const vnf::NfSpec& spec_k = *specs[k];
             const double openable_before = std::max(
                 0.0, std::floor((free_before + kEps) / spec_k.cores_required));
             const double openable_after = std::max(
                 0.0, std::floor((free_after + kEps) / spec_k.cores_required));
             const double adjusted =
-                suffix_avail[k][i] -
+                suffix_avail[k * len + i] -
                 (openable_before - openable_after) * spec_k.capacity_mbps;
             if (adjusted < cls.rate_mbps - kEps) return false;
           }
@@ -181,12 +208,12 @@ bool fill_classes(
         };
 
         const auto pick = [&](bool respect_lookahead) {
-          std::size_t best = cls.path.size();
+          std::size_t best = len;
           bool best_has_residual = false;
           double best_popularity = -1.0;
-          for (std::size_t i = 0; i < cls.path.size(); ++i) {
+          for (std::size_t i = 0; i < len; ++i) {
             const net::NodeId v = cls.path[i];
-            if (banned[i] || !topo.node(v).has_host() || slack[i] <= kEps) {
+            if (banned[i] || !(host_cores[v] > 0.0) || slack[i] <= kEps) {
               continue;
             }
             if (respect_lookahead && !future_ok(i)) continue;
@@ -194,10 +221,10 @@ bool fill_classes(
             const bool has_residual =
                 nts.instances * spec.capacity_mbps - nts.used_mbps > kEps;
             const bool can_open = cores_used[v] + spec.cores_required <=
-                                  topo.node(v).host_cores + kEps;
+                                  host_cores[v] + kEps;
             if (!has_residual && !can_open) continue;
             const double pop = popularity[v][n];
-            if (best == cls.path.size() ||
+            if (best == len ||
                 std::make_tuple(has_residual, pop) >
                     std::make_tuple(best_has_residual, best_popularity)) {
               best = i;
@@ -208,12 +235,12 @@ bool fill_classes(
           return best;
         };
         std::size_t best = pick(/*respect_lookahead=*/true);
-        if (best == cls.path.size()) {
+        if (best == len) {
           // The conservative lookahead may over-reject under tight
           // resources; trying is better than giving up.
           best = pick(/*respect_lookahead=*/false);
         }
-        if (best == cls.path.size()) break;  // nowhere left to place
+        if (best == len) break;  // nowhere left to place
 
         const net::NodeId v = cls.path[best];
         NodeTypeState& nts = state[v][n];
@@ -229,8 +256,7 @@ bool fill_classes(
             taken_mbps += take;
             continue;
           }
-          if (cores_used[v] + spec.cores_required <=
-              topo.node(v).host_cores + kEps) {
+          if (cores_used[v] + spec.cores_required <= host_cores[v] + kEps) {
             cores_used[v] += spec.cores_required;  // Eq. 6
             ++nts.instances;
             ++plan.instance_count[v][n];
@@ -239,13 +265,13 @@ bool fill_classes(
           break;  // host exhausted mid-fill
         }
         if (taken_mbps <= kEps) {
-          banned[best] = true;  // racing classes drained it; never retry
+          banned[best] = 1;  // racing classes drained it; never retry
           continue;
         }
         const double frac = taken_mbps / cls.rate_mbps;
-        fraction[best][j] += frac;
+        d(best, j) += frac;
         assigned += frac;
-        for (std::size_t i = best; i < cls.path.size(); ++i) {
+        for (std::size_t i = best; i < len; ++i) {
           cur_prefix[i] += frac;
         }
       }
@@ -260,21 +286,21 @@ bool fill_classes(
       // dumped at the last host index, where the previous stage is always
       // complete (prefix = 1), so Eq. 3 cannot break.
       if (assigned < 1.0) {
-        std::size_t last_host = cls.path.size();
-        for (std::size_t i = cls.path.size(); i-- > 0;) {
-          if (topo.node(cls.path[i]).has_host()) {
+        std::size_t last_host = len;
+        for (std::size_t i = len; i-- > 0;) {
+          if (host_cores[cls.path[i]] > 0.0) {
             last_host = i;
             break;
           }
         }
         const double deficit = 1.0 - assigned;
-        fraction[last_host][j] += deficit;
+        d(last_host, j) += deficit;
         state[cls.path[last_host]][n].used_mbps += deficit * cls.rate_mbps;
-        for (std::size_t i = last_host; i < cls.path.size(); ++i) {
+        for (std::size_t i = last_host; i < len; ++i) {
           cur_prefix[i] += deficit;
         }
       }
-      prev_prefix = std::move(cur_prefix);
+      std::swap(prev_prefix, cur_prefix);
     }
   }
   return true;
@@ -300,7 +326,9 @@ void trim_instances(const PlacementInput& input, const FillState& fs,
 // instances. Closes most of the integrality gap the water-filling leaves
 // against the LP bound. The incremental path skips it: it moves any class's
 // fractions, which would churn pinned classes' rules for marginal gain.
-void consolidate_instances(const PlacementInput& input, PlacementPlan& plan) {
+void consolidate_instances(const PlacementInput& input,
+                           const std::vector<double>& host_cores,
+                           PlacementPlan& plan) {
   const net::Topology& topo = *input.topology;
 
   // Offered load per (switch, type), derived from the current distribution.
@@ -311,10 +339,11 @@ void consolidate_instances(const PlacementInput& input, PlacementPlan& plan) {
     for (std::size_t h = 0; h < input.classes.size(); ++h) {
       const traffic::TrafficClass& cls = input.classes[h];
       const vnf::PolicyChain& chain = input.chain_of(cls);
+      const ClassDistribution& d = plan.distribution[h];
       for (std::size_t i = 0; i < cls.path.size(); ++i) {
         for (std::size_t j = 0; j < chain.size(); ++j) {
           used[cls.path[i]][static_cast<std::size_t>(chain[j])] +=
-              cls.rate_mbps * plan.distribution[h].fraction[i][j];
+              cls.rate_mbps * d(i, j);
         }
       }
     }
@@ -325,33 +354,59 @@ void consolidate_instances(const PlacementInput& input, PlacementPlan& plan) {
     return plan.instance_count[v][n] * cap - used[v][n];
   };
 
-  for (int pass = 0; pass < 4; ++pass) {
-    recompute_used();
-    // Index users of each (switch, type): (class, path index, stage).
-    std::vector<std::array<std::vector<std::array<std::size_t, 3>>,
-                           vnf::kNumNfTypes>>
-        users(topo.num_nodes());
+  // Users of each (switch, type) bucket b = v * kNumNfTypes + n as one CSR
+  // index, rebuilt per pass: users[user_start[b] .. user_start[b + 1]) are
+  // the bucket's (class, path index, stage) entries in that order.
+  struct User {
+    std::size_t h;
+    std::size_t i;
+    std::size_t j;
+  };
+  const std::size_t num_buckets = topo.num_nodes() * vnf::kNumNfTypes;
+  std::vector<std::size_t> user_start(num_buckets + 1);
+  std::vector<std::size_t> cursor;
+  std::vector<User> users;
+  const auto for_each_user = [&](const auto& visit) {
     for (std::size_t h = 0; h < input.classes.size(); ++h) {
       const traffic::TrafficClass& cls = input.classes[h];
-      const vnf::PolicyChain& chain = input.chain_of(cls);
       if (cls.rate_mbps <= kEps) continue;
+      const vnf::PolicyChain& chain = input.chain_of(cls);
+      const ClassDistribution& d = plan.distribution[h];
       for (std::size_t i = 0; i < cls.path.size(); ++i) {
         for (std::size_t j = 0; j < chain.size(); ++j) {
-          if (plan.distribution[h].fraction[i][j] > kEps) {
-            users[cls.path[i]][static_cast<std::size_t>(chain[j])].push_back(
-                {h, i, j});
+          if (d(i, j) > kEps) {
+            visit(cls.path[i] * vnf::kNumNfTypes +
+                      static_cast<std::size_t>(chain[j]),
+                  User{h, i, j});
           }
         }
       }
     }
+  };
+  // Prefix sums of the visited user's stage and its two neighbours, reused
+  // across users.
+  std::vector<double> prefix_prev;
+  std::vector<double> prefix_cur;
+  std::vector<double> prefix_next;
 
-    // Visit groups from least utilized: those are the cheapest to empty.
-    struct Group {
-      net::NodeId v;
-      std::size_t n;
-      double utilization;
-    };
-    std::vector<Group> groups;
+  // Visit groups from least utilized: those are the cheapest to empty.
+  struct Group {
+    net::NodeId v;
+    std::size_t n;
+    double utilization;
+  };
+  std::vector<Group> groups;
+
+  for (int pass = 0; pass < 4; ++pass) {
+    recompute_used();
+    std::fill(user_start.begin(), user_start.end(), 0);
+    for_each_user([&](std::size_t b, const User&) { ++user_start[b + 1]; });
+    std::partial_sum(user_start.begin(), user_start.end(), user_start.begin());
+    users.resize(user_start.back());
+    cursor.assign(user_start.begin(), user_start.end() - 1);
+    for_each_user([&](std::size_t b, const User& u) { users[cursor[b]++] = u; });
+
+    groups.clear();
     for (net::NodeId v = 0; v < topo.num_nodes(); ++v) {
       for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
         if (plan.instance_count[v][n] == 0) continue;
@@ -377,40 +432,42 @@ void consolidate_instances(const PlacementInput& input, PlacementPlan& plan) {
               cap;
       if (to_move > cap * 0.75) continue;  // too full to be worth emptying
 
-      for (const auto& [h, i, j] : users[group.v][group.n]) {
+      const std::size_t bucket = group.v * vnf::kNumNfTypes + group.n;
+      for (std::size_t u = user_start[bucket]; u < user_start[bucket + 1];
+           ++u) {
         if (to_move <= kEps) break;
+        const auto [h, i, j] = users[u];
         const traffic::TrafficClass& cls = input.classes[h];
-        auto& fraction = plan.distribution[h].fraction;
-        if (fraction[i][j] <= kEps) continue;
+        ClassDistribution& d = plan.distribution[h];
+        if (d(i, j) <= kEps) continue;
         const vnf::PolicyChain& chain = input.chain_of(cls);
+        const std::size_t len = cls.path.size();
         // Prefix sums of the neighboring stages bound how far stage j's
         // share at position i may move (Eq. 3).
-        std::vector<double> prefix_prev(cls.path.size(), 1.0);
-        std::vector<double> prefix_cur(cls.path.size(), 0.0);
-        std::vector<double> prefix_next(cls.path.size(), 0.0);
+        prefix_prev.assign(len, 1.0);
+        prefix_cur.assign(len, 0.0);
+        prefix_next.assign(len, 0.0);
         double acc = 0.0;
-        for (std::size_t x = 0; x < cls.path.size(); ++x) {
+        for (std::size_t x = 0; x < len; ++x) {
           if (j > 0) {
-            prefix_prev[x] =
-                (x > 0 ? prefix_prev[x - 1] : 0.0) + fraction[x][j - 1];
+            prefix_prev[x] = (x > 0 ? prefix_prev[x - 1] : 0.0) + d(x, j - 1);
           }
-          acc += fraction[x][j];
+          acc += d(x, j);
           prefix_cur[x] = acc;
           if (j + 1 < chain.size()) {
-            prefix_next[x] =
-                (x > 0 ? prefix_next[x - 1] : 0.0) + fraction[x][j + 1];
+            prefix_next[x] = (x > 0 ? prefix_next[x - 1] : 0.0) + d(x, j + 1);
           }
         }
-        for (std::size_t target = 0; target < cls.path.size(); ++target) {
-          if (to_move <= kEps || fraction[i][j] <= kEps) break;
+        for (std::size_t target = 0; target < len; ++target) {
+          if (to_move <= kEps || d(i, j) <= kEps) break;
           if (target == i) continue;
           const net::NodeId tv = cls.path[target];
-          if (!topo.node(tv).has_host()) continue;
+          if (!(host_cores[tv] > 0.0)) continue;
           if (tv == group.v) continue;  // same group: no gain
           const double spare = spare_at(tv, group.n);
           if (spare <= kEps) continue;
           // Precedence bound for shifting mass between positions i<->target.
-          double bound = fraction[i][j];
+          double bound = d(i, j);
           if (target > i) {
             for (std::size_t x = i; x < target; ++x) {
               bound = std::min(bound, prefix_cur[x] - prefix_next[x]);
@@ -424,16 +481,16 @@ void consolidate_instances(const PlacementInput& input, PlacementPlan& plan) {
               0.0, std::min({bound, spare / cls.rate_mbps,
                              to_move / cls.rate_mbps}));
           if (move_frac <= kEps) continue;
-          fraction[i][j] -= move_frac;
-          fraction[target][j] += move_frac;
+          d(i, j) -= move_frac;
+          d(target, j) += move_frac;
           const double moved_mbps = move_frac * cls.rate_mbps;
           used[group.v][group.n] -= moved_mbps;
           used[tv][group.n] += moved_mbps;
           to_move -= moved_mbps;
           // Refresh the current stage's prefix after the shift.
           const std::size_t lo = std::min(i, target);
-          for (std::size_t x = lo; x < cls.path.size(); ++x) {
-            prefix_cur[x] = (x > 0 ? prefix_cur[x - 1] : 0.0) + fraction[x][j];
+          for (std::size_t x = lo; x < len; ++x) {
+            prefix_cur[x] = (x > 0 ? prefix_cur[x - 1] : 0.0) + d(x, j);
           }
         }
       }
@@ -452,17 +509,13 @@ void consolidate_instances(const PlacementInput& input, PlacementPlan& plan) {
 // LP q for kLpRound — i.e. LP-guided rounding).
 PlacementPlan fill_plan(
     const PlacementInput& input,
-    const std::vector<std::array<double, vnf::kNumNfTypes>>& popularity) {
+    const std::vector<std::array<double, vnf::kNumNfTypes>>& popularity,
+    const std::vector<std::size_t>& order) {
   PlacementPlan plan = empty_plan(input);
-  FillState fs(input.topology->num_nodes());
-  std::vector<std::size_t> order(input.classes.size());
-  std::iota(order.begin(), order.end(), 0);
-  if (!fill_classes(input, popularity, constrained_order(input, std::move(order)),
-                    plan, fs)) {
-    return plan;
-  }
+  FillState fs(*input.topology);
+  if (!fill_classes(input, popularity, order, plan, fs)) return plan;
   trim_instances(input, fs, plan);
-  consolidate_instances(input, plan);
+  consolidate_instances(input, fs.host_cores, plan);
   plan.feasible = true;
   return plan;
 }
@@ -490,13 +543,15 @@ bool seed_from_previous(const PlacementInput& input, const PlacementPlan& prev,
     const std::size_t p = delta.prev_of[h];
     const traffic::TrafficClass& cls = input.classes[h];
     const vnf::PolicyChain& chain = input.chain_of(cls);
-    APPLE_CHECK_EQ(prev.distribution[p].fraction.size(), cls.path.size());
+    APPLE_CHECK_EQ(prev.distribution[p].positions(), cls.path.size());
+    APPLE_CHECK_EQ(prev.distribution[p].stages(), chain.size());
+    // Equal-sized blocks: the copy reuses the empty plan's storage.
     plan.distribution[h] = prev.distribution[p];
-    const auto& fraction = plan.distribution[h].fraction;
+    const ClassDistribution& d = plan.distribution[h];
     for (std::size_t i = 0; i < cls.path.size(); ++i) {
       for (std::size_t j = 0; j < chain.size(); ++j) {
         fs.state[cls.path[i]][static_cast<std::size_t>(chain[j])].used_mbps +=
-            fraction[i][j] * cls.rate_mbps;
+            d(i, j) * cls.rate_mbps;
       }
     }
   }
@@ -546,7 +601,7 @@ std::vector<double> pack_warm_solution(const IlpBuilder& builder,
     const vnf::PolicyChain& chain = input.chain_of(cls);
     for (std::size_t i = 0; i < cls.path.size(); ++i) {
       for (std::size_t j = 0; j < chain.size(); ++j) {
-        const double frac = plan.distribution[h].fraction[i][j];
+        const double frac = plan.distribution[h](i, j);
         if (frac == 0.0) continue;
         const lp::VarId var = builder.d_var(h, i, j);
         if (var == IlpBuilder::kInvalidVar) return {};
@@ -607,7 +662,7 @@ PlacementPlan OptimizationEngine::replace(const PlacementInput& input,
   APPLE_OBS_COUNT("core.engine.replacements");
 
   PlacementPlan plan = empty_plan(input);
-  FillState fs(input.topology->num_nodes());
+  FillState fs(*input.topology);
   bool ok = seed_from_previous(input, prev, delta, plan, fs);
 
   if (ok && delta.empty()) {
@@ -725,7 +780,7 @@ PlacementPlan OptimizationEngine::place_lp_round(
       }
     }
   }
-  PlacementPlan plan = fill_plan(input, popularity);
+  PlacementPlan plan = fill_plan(input, popularity, constrained_order(input));
   plan.strategy = "lp-round";
   plan.lower_bound = relax.objective;
   plan.solve_seconds = timer.elapsed_seconds();
@@ -753,17 +808,18 @@ PlacementPlan OptimizationEngine::place_greedy(
     }
   }
 
-  PlacementPlan plan = fill_plan(input, popularity);
-  // Self-guided refinement: refill with popularity = the previous plan's
-  // instance counts, so every class gravitates to the same pool nodes.
-  // Keep the best plan seen.
+  const std::vector<std::size_t> order = constrained_order(input);
+  PlacementPlan plan = fill_plan(input, popularity, order);
+  // Self-guided refinement: refill (in the same order) with popularity =
+  // the previous plan's instance counts, so every class gravitates to the
+  // same pool nodes. Keep the best plan seen.
   for (int round = 0; round < 3 && plan.feasible; ++round) {
     for (net::NodeId v = 0; v < topo.num_nodes(); ++v) {
       for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
         popularity[v][n] = static_cast<double>(plan.instance_count[v][n]);
       }
     }
-    PlacementPlan refined = fill_plan(input, popularity);
+    PlacementPlan refined = fill_plan(input, popularity, order);
     if (!refined.feasible ||
         refined.total_instances() >= plan.total_instances()) {
       break;

@@ -68,22 +68,25 @@ std::string check_plan(const PlacementInput& input, const PlacementPlan& plan,
   // Offered load per (switch, NF type), accumulated from d.
   std::vector<std::array<double, vnf::kNumNfTypes>> load(
       topo.num_nodes(), std::array<double, vnf::kNumNfTypes>{});
+  // Per-stage running and total sums of d, reused across classes.
+  std::vector<double> prefix;
+  std::vector<double> total;
 
   for (std::size_t h = 0; h < input.classes.size(); ++h) {
     const traffic::TrafficClass& cls = input.classes[h];
     const vnf::PolicyChain& chain = input.chain_of(cls);
     const ClassDistribution& dist = plan.distribution[h];
-    if (dist.fraction.size() != cls.path.size()) {
-      return "class " + std::to_string(h) + ": fraction rows != path length";
+    if (dist.positions() != cls.path.size()) {
+      return "class " + std::to_string(h) + ": d positions != path length";
     }
-    std::vector<double> prefix(chain.size(), 0.0);
-    std::vector<double> total(chain.size(), 0.0);
+    if (dist.stages() != chain.size()) {
+      return "class " + std::to_string(h) + ": d stages != chain length";
+    }
+    prefix.assign(chain.size(), 0.0);
+    total.assign(chain.size(), 0.0);
     for (std::size_t i = 0; i < cls.path.size(); ++i) {
-      if (dist.fraction[i].size() != chain.size()) {
-        return "class " + std::to_string(h) + ": fraction cols != chain";
-      }
       for (std::size_t j = 0; j < chain.size(); ++j) {
-        const double d = dist.fraction[i][j];
+        const double d = dist(i, j);
         if (d < -tolerance || d > 1.0 + tolerance) {
           return "class " + std::to_string(h) + ": d out of [0,1] (Eq. 8)";
         }

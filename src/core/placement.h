@@ -31,11 +31,33 @@ struct PlacementInput {
   void validate() const;
 };
 
-// Traffic distribution of one class: fraction[i][j] is d^i_{h,j}, the share
-// of the class processed for chain stage j at the host of the i-th path
-// switch.
-struct ClassDistribution {
-  std::vector<std::vector<double>> fraction;  // [path index][chain stage]
+// Traffic distribution of one class: (i, j) is d^i_{h,j}, the share of the
+// class processed for chain stage j at the host of the i-th path switch.
+// One row-major [path position][chain stage] block per class; the accessor
+// is unchecked, like std::vector::operator[] (check_plan verifies shapes).
+class ClassDistribution {
+ public:
+  ClassDistribution() = default;
+  // All-zero distribution of a class with `positions` path switches and a
+  // `stages`-long chain.
+  ClassDistribution(std::size_t positions, std::size_t stages)
+      : positions_(positions), stages_(stages), d_(positions * stages, 0.0) {}
+
+  std::size_t positions() const { return positions_; }
+  std::size_t stages() const { return stages_; }
+  double& operator()(std::size_t i, std::size_t j) {
+    return d_[i * stages_ + j];
+  }
+  double operator()(std::size_t i, std::size_t j) const {
+    return d_[i * stages_ + j];
+  }
+
+  bool operator==(const ClassDistribution&) const = default;
+
+ private:
+  std::size_t positions_ = 0;
+  std::size_t stages_ = 0;
+  std::vector<double> d_;
 };
 
 // A full placement: q (instances per switch per NF type) and d.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace apple::core {
@@ -16,6 +15,12 @@ constexpr double kEps = 1e-9;
 // folds a remainder of this order into the last sub-class instead of
 // treating it as missing supply.
 constexpr double kFracSlack = 1e-5;
+// The decomposition stops cutting once less than this weight remains; the
+// remainder folds into the last sub-class.
+constexpr double kMinWeight = 1e-9;
+// Dyadic resolution of kPrefixSplit: weights are rounded to multiples of
+// 2^-kPrefixBits (8 bits = 1/256 granularity).
+constexpr std::uint32_t kPrefixBits = 8;
 
 // One indivisible supply unit of a chain stage: `frac` of the class handled
 // by `instance` at path position `pos`.
@@ -24,9 +29,6 @@ struct SupplyUnit {
   vnf::InstanceId instance = 0;
   double frac = 0.0;
 };
-
-// Remaining capacity ledger shared across classes.
-using CapacityLedger = std::unordered_map<vnf::InstanceId, double>;
 
 }  // namespace
 
@@ -63,44 +65,60 @@ std::vector<std::vector<dataplane::SubclassPlan>> assign_subclasses(
     const PlacementInput& input, const PlacementPlan& plan,
     const InstanceInventory& inventory, const AssignerOptions& options) {
   input.validate();
-  const net::Topology& topo = *input.topology;
-  (void)topo;
+  const std::size_t num_nodes = input.topology->num_nodes();
 
-  CapacityLedger ledger;
-  for (net::NodeId v = 0; v < input.topology->num_nodes(); ++v) {
+  // Remaining capacity ledger shared across classes, one entry per
+  // inventory slot: bucket b = v * kNumNfTypes + n owns
+  // ledger[slot_start[b] .. slot_start[b + 1]), aligned with
+  // inventory.by_node_type[v][n].
+  std::vector<double> ledger;
+  std::vector<std::size_t> slot_start{0};
+  slot_start.reserve(num_nodes * vnf::kNumNfTypes + 1);
+  for (net::NodeId v = 0; v < num_nodes; ++v) {
     for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
-      const double cap =
-          vnf::spec_of(static_cast<vnf::NfType>(n)).capacity_mbps;
-      for (const vnf::InstanceId id : inventory.by_node_type[v][n]) {
-        ledger[id] = cap;
-      }
+      ledger.insert(ledger.end(), inventory.by_node_type[v][n].size(),
+                    vnf::spec_of(static_cast<vnf::NfType>(n)).capacity_mbps);
+      slot_start.push_back(ledger.size());
     }
   }
 
   std::vector<std::vector<dataplane::SubclassPlan>> result(
       input.classes.size());
 
+  // Scratch reused across classes: every stage's supply units back to back
+  // (stage j owns supply[stage_end[j - 1] .. stage_end[j])), the per-stage
+  // head unit and its consumed fraction, and the instance sequence of each
+  // sub-class emitted so far, row-major [sub-class][stage].
+  std::vector<SupplyUnit> supply;
+  std::vector<std::size_t> stage_end;
+  std::vector<std::size_t> head;
+  std::vector<double> consumed;
+  std::vector<vnf::InstanceId> sequences;
+
   for (std::size_t h = 0; h < input.classes.size(); ++h) {
     const traffic::TrafficClass& cls = input.classes[h];
     const vnf::PolicyChain& chain = input.chain_of(cls);
     const ClassDistribution& dist = plan.distribution[h];
+    std::vector<dataplane::SubclassPlan>& subs = result[h];
 
     if (chain.empty()) {
       dataplane::SubclassPlan plain;
       plain.class_id = cls.id;
       plain.subclass_id = 0;
       plain.weight = 1.0;
-      result[h].push_back(std::move(plain));
+      subs.push_back(std::move(plain));
       continue;
     }
 
     // Build per-stage supply lists by consuming the capacity ledger in
     // inventory order at each (position, type) bucket.
-    std::vector<std::vector<SupplyUnit>> supply(chain.size());
+    supply.clear();
+    stage_end.clear();
     for (std::size_t j = 0; j < chain.size(); ++j) {
       const vnf::NfType type = chain[j];
+      const std::size_t stage_begin = supply.size();
       for (std::size_t i = 0; i < cls.path.size(); ++i) {
-        double frac = dist.fraction[i][j];
+        double frac = dist(i, j);
         if (frac <= kEps) continue;
         const auto& bucket = inventory.at(cls.path[i], type);
         if (bucket.empty()) {
@@ -115,18 +133,22 @@ std::vector<std::vector<dataplane::SubclassPlan>> assign_subclasses(
               std::string(vnf::to_string(type)) + " instance exists there");
         }
         if (cls.rate_mbps <= kEps) {
-          supply[j].push_back(SupplyUnit{i, bucket.front(), frac});
+          supply.push_back(SupplyUnit{i, bucket.front(), frac});
           continue;
         }
-        for (const vnf::InstanceId id : bucket) {
+        double* residuals =
+            ledger.data() +
+            slot_start[cls.path[i] * vnf::kNumNfTypes +
+                       static_cast<std::size_t>(type)];
+        for (std::size_t k = 0; k < bucket.size(); ++k) {
           if (frac <= kEps) break;
-          double& residual = ledger[id];
+          double& residual = residuals[k];
           if (residual <= kEps) continue;
           const double take_mbps =
               std::min(residual, frac * cls.rate_mbps);
           const double take_frac = take_mbps / cls.rate_mbps;
           residual -= take_mbps;
-          supply[j].push_back(SupplyUnit{i, id, take_frac});
+          supply.push_back(SupplyUnit{i, bucket[k], take_frac});
           frac -= take_frac;
         }
         if (frac > 1e-6) {
@@ -138,12 +160,12 @@ std::vector<std::vector<dataplane::SubclassPlan>> assign_subclasses(
       }
       // Zero-rate relocation: if nothing was supplied (all buckets empty),
       // fall back to the first instance of the right type on the path.
-      if (supply[j].empty()) {
+      if (supply.size() == stage_begin) {
         bool placed = false;
         for (std::size_t i = 0; i < cls.path.size() && !placed; ++i) {
           const auto& bucket = inventory.at(cls.path[i], chain[j]);
           if (!bucket.empty()) {
-            supply[j].push_back(SupplyUnit{i, bucket.front(), 1.0});
+            supply.push_back(SupplyUnit{i, bucket.front(), 1.0});
             placed = true;
           }
         }
@@ -154,31 +176,32 @@ std::vector<std::vector<dataplane::SubclassPlan>> assign_subclasses(
               " instance anywhere on the path");
         }
       }
+      stage_end.push_back(supply.size());
     }
 
     // Greedy cut decomposition across stages. The prefix property (Eq. 3)
     // keeps the per-stage head positions monotone, so each cut is a valid
     // in-order itinerary.
-    std::vector<std::size_t> head(chain.size(), 0);
-    std::vector<double> consumed(chain.size(), 0.0);
-    // Merge cuts with identical instance sequences.
-    std::map<std::vector<vnf::InstanceId>, std::size_t> seen;
+    head.assign(1, 0);  // each stage's head starts at its first unit
+    head.insert(head.end(), stage_end.begin(), stage_end.end() - 1);
+    consumed.assign(chain.size(), 0.0);
+    sequences.clear();
     double remaining = 1.0;
-    while (remaining > options.min_weight) {
+    while (remaining > kMinWeight) {
       double w = remaining;
       bool exhausted = false;
       for (std::size_t j = 0; j < chain.size(); ++j) {
-        if (head[j] >= supply[j].size()) {
+        if (head[j] >= stage_end[j]) {
           // A stage may come up short by the builder's floating-point
           // slack; that remainder folds into the last sub-class below.
           // Anything larger means the placement really under-supplied.
-          if (remaining <= kFracSlack && !result[h].empty()) {
+          if (remaining <= kFracSlack && !subs.empty()) {
             exhausted = true;
             break;
           }
           throw std::logic_error("sub-class decomposition ran out of supply");
         }
-        w = std::min(w, supply[j][head[j]].frac - consumed[j]);
+        w = std::min(w, supply[head[j]].frac - consumed[j]);
       }
       if (exhausted) break;
       if (w <= kEps) {
@@ -186,8 +209,8 @@ std::vector<std::vector<dataplane::SubclassPlan>> assign_subclasses(
         // progress is possible (degenerate fractions).
         bool advanced = false;
         for (std::size_t j = 0; j < chain.size(); ++j) {
-          if (head[j] < supply[j].size() &&
-              supply[j][head[j]].frac - consumed[j] <= kEps) {
+          if (head[j] < stage_end[j] &&
+              supply[head[j]].frac - consumed[j] <= kEps) {
             ++head[j];
             consumed[j] = 0.0;
             advanced = true;
@@ -197,39 +220,43 @@ std::vector<std::vector<dataplane::SubclassPlan>> assign_subclasses(
         continue;
       }
 
-      std::vector<vnf::InstanceId> sequence(chain.size());
-      std::vector<std::size_t> positions(chain.size());
-      for (std::size_t j = 0; j < chain.size(); ++j) {
-        sequence[j] = supply[j][head[j]].instance;
-        positions[j] = supply[j][head[j]].pos;
+      // Merge cuts with identical instance sequences: scan this class's
+      // own sub-classes (few per class) for the cut's sequence.
+      std::size_t match = 0;
+      for (; match < subs.size(); ++match) {
+        const vnf::InstanceId* seq = sequences.data() + match * chain.size();
+        std::size_t j = 0;
+        while (j < chain.size() && seq[j] == supply[head[j]].instance) ++j;
+        if (j == chain.size()) break;
       }
-      const auto [it, inserted] = seen.try_emplace(sequence, result[h].size());
-      if (inserted) {
+      if (match == subs.size()) {
         dataplane::SubclassPlan sub;
         sub.class_id = cls.id;
-        sub.subclass_id = static_cast<dataplane::SubclassId>(result[h].size());
+        sub.subclass_id = static_cast<dataplane::SubclassId>(subs.size());
         sub.weight = w;
         // Group consecutive stages at the same switch into one host visit.
         for (std::size_t j = 0; j < chain.size(); ++j) {
+          const SupplyUnit& unit = supply[head[j]];
+          sequences.push_back(unit.instance);
           if (!sub.itinerary.empty() &&
-              sub.itinerary.back().at_switch == cls.path[positions[j]]) {
-            sub.itinerary.back().instances.push_back(sequence[j]);
+              sub.itinerary.back().at_switch == cls.path[unit.pos]) {
+            sub.itinerary.back().instances.push_back(unit.instance);
           } else {
             dataplane::HostVisit visit;
-            visit.at_switch = cls.path[positions[j]];
-            visit.instances = {sequence[j]};
+            visit.at_switch = cls.path[unit.pos];
+            visit.instances = {unit.instance};
             sub.itinerary.push_back(std::move(visit));
           }
         }
-        result[h].push_back(std::move(sub));
+        subs.push_back(std::move(sub));
       } else {
-        result[h][it->second].weight += w;
+        subs[match].weight += w;
       }
 
       remaining -= w;
       for (std::size_t j = 0; j < chain.size(); ++j) {
         consumed[j] += w;
-        if (consumed[j] >= supply[j][head[j]].frac - kEps) {
+        if (consumed[j] >= supply[head[j]].frac - kEps) {
           ++head[j];
           consumed[j] = 0.0;
         }
@@ -237,13 +264,13 @@ std::vector<std::vector<dataplane::SubclassPlan>> assign_subclasses(
     }
     // Absorb the residual weight into the last sub-class so weights sum to
     // exactly 1.
-    if (!result[h].empty()) {
-      result[h].back().weight += remaining;
+    if (!subs.empty()) {
+      subs.back().weight += remaining;
     }
     // Classifier TCAM cost per sub-class (Sec. V-A).
-    for (dataplane::SubclassPlan& sub : result[h]) {
-      sub.classifier_prefix_rules = classifier_rules_for_weight(
-          sub.weight, options.method, options.prefix_bits);
+    for (dataplane::SubclassPlan& sub : subs) {
+      sub.classifier_prefix_rules =
+          classifier_rules_for_weight(sub.weight, options.method, kPrefixBits);
     }
   }
   return result;

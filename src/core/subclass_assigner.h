@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/placement.h"
@@ -30,14 +29,9 @@ namespace apple::core {
 
 enum class SubclassMethod { kConsistentHash, kPrefixSplit };
 
+// kPrefixSplit quantizes weights to multiples of 1/256 (8 prefix bits).
 struct AssignerOptions {
   SubclassMethod method = SubclassMethod::kConsistentHash;
-  // Dyadic resolution for kPrefixSplit: weights are rounded to multiples of
-  // 2^-prefix_bits (8 bits = 1/256 granularity).
-  std::uint32_t prefix_bits = 8;
-  // Drop sub-classes lighter than this after decomposition (their weight is
-  // merged into the previous sub-class).
-  double min_weight = 1e-9;
 };
 
 // The concrete instance inventory of a placement: instance ids grouped by

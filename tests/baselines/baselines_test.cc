@@ -42,7 +42,7 @@ TEST(Ingress, EnforcesEverythingAtIngress) {
   // Every class processed entirely at path position 0.
   for (std::size_t h = 0; h < s.classes.size(); ++h) {
     for (std::size_t j = 0; j < s.chains[s.classes[h].chain_id].size(); ++j) {
-      EXPECT_DOUBLE_EQ(plan.distribution[h].fraction[0][j], 1.0);
+      EXPECT_DOUBLE_EQ(plan.distribution[h](0, j), 1.0);
     }
   }
 }
@@ -103,14 +103,16 @@ TEST(Comb, ConsolidatesOnPath) {
   EXPECT_FALSE(comb.isolation);  // threads, not VMs
   // Each class's whole chain sits at exactly one path position.
   for (std::size_t h = 0; h < s.classes.size(); ++h) {
-    const auto& frac = comb.plan.distribution[h].fraction;
+    const core::ClassDistribution& d = comb.plan.distribution[h];
     std::size_t positions_used = 0;
-    for (std::size_t i = 0; i < frac.size(); ++i) {
+    for (std::size_t i = 0; i < d.positions(); ++i) {
       bool used = false;
-      for (const double d : frac[i]) used = used || d > 0.0;
+      for (std::size_t j = 0; j < d.stages(); ++j) used = used || d(i, j) > 0.0;
       if (used) {
         ++positions_used;
-        for (const double d : frac[i]) EXPECT_DOUBLE_EQ(d, 1.0);
+        for (std::size_t j = 0; j < d.stages(); ++j) {
+          EXPECT_DOUBLE_EQ(d(i, j), 1.0);
+        }
       }
     }
     EXPECT_EQ(positions_used, 1u);

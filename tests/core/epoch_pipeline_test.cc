@@ -454,8 +454,7 @@ TEST(EpochPipeline, GreedyAndLpRoundIncrementalStayFeasible) {
     EXPECT_EQ(inc.class_delta.removed, (std::vector<std::size_t>{3}));
     for (const std::size_t h : inc.class_delta.unchanged) {
       const std::size_t p = inc.class_delta.prev_of[h];
-      EXPECT_EQ(inc.epoch.plan.distribution[h].fraction,
-                prev.plan.distribution[p].fraction)
+      EXPECT_EQ(inc.epoch.plan.distribution[h], prev.plan.distribution[p])
           << to_string(strategy);
     }
   }

@@ -78,7 +78,7 @@ TEST(IlpBuilder, SolutionRoundTripsThroughExtractPlan) {
   for (std::size_t j = 0; j < 2; ++j) {
     double total = 0.0;
     for (std::size_t i = 0; i < 3; ++i) {
-      total += plan.distribution[0].fraction[i][j];
+      total += plan.distribution[0](i, j);
     }
     EXPECT_NEAR(total, 1.0, 1e-6);
   }

@@ -229,7 +229,7 @@ TEST(OptimizationEngine, ReplacePinsUnchangedDistributions) {
   EXPECT_EQ(check_plan(next_input, next), "");
   EXPECT_EQ(next.strategy, "greedy-delta");
   // The pinned class's spatial distribution is carried over verbatim.
-  EXPECT_EQ(next.distribution[0].fraction, prev.distribution[0].fraction);
+  EXPECT_EQ(next.distribution[0], prev.distribution[0]);
   // The grown class got the extra capacity it needs.
   EXPECT_GE(next.total_instances(), prev.total_instances());
 }

@@ -35,10 +35,9 @@ struct Scenario {
     plan.instance_count.assign(3, {});
     plan.instance_count[1][static_cast<std::size_t>(NfType::kFirewall)] = 1;
     plan.instance_count[2][static_cast<std::size_t>(NfType::kIds)] = 1;
-    plan.distribution.resize(1);
-    plan.distribution[0].fraction.assign(3, std::vector<double>(2, 0.0));
-    plan.distribution[0].fraction[1][0] = 1.0;  // FW at switch 1
-    plan.distribution[0].fraction[2][1] = 1.0;  // IDS at switch 2
+    plan.distribution.emplace_back(3, 2);
+    plan.distribution[0](1, 0) = 1.0;  // FW at switch 1
+    plan.distribution[0](2, 1) = 1.0;  // IDS at switch 2
     plan.feasible = true;
     return plan;
   }
@@ -83,7 +82,7 @@ TEST(CheckPlan, CatchesIncompleteProcessing) {
   PlacementPlan plan = s.valid_plan();
   // Last stage only 70% processed (keeps Eq. 3 prefixes intact so the
   // completion check is the one that fires).
-  plan.distribution[0].fraction[2][1] = 0.7;
+  plan.distribution[0](2, 1) = 0.7;
   const std::string err = check_plan(s.input, plan);
   EXPECT_NE(err.find("Eq. 4"), std::string::npos) << err;
 }
@@ -92,10 +91,10 @@ TEST(CheckPlan, CatchesOrderViolation) {
   Scenario s;
   PlacementPlan plan = s.valid_plan();
   // IDS (stage 2) at switch 1 but FW (stage 1) only at switch 2: reversed.
-  plan.distribution[0].fraction[1][0] = 0.0;
-  plan.distribution[0].fraction[1][1] = 1.0;
-  plan.distribution[0].fraction[2][0] = 1.0;
-  plan.distribution[0].fraction[2][1] = 0.0;
+  plan.distribution[0](1, 0) = 0.0;
+  plan.distribution[0](1, 1) = 1.0;
+  plan.distribution[0](2, 0) = 1.0;
+  plan.distribution[0](2, 1) = 0.0;
   plan.instance_count[1][static_cast<std::size_t>(NfType::kIds)] = 1;
   plan.instance_count[1][static_cast<std::size_t>(NfType::kFirewall)] = 0;
   plan.instance_count[2][static_cast<std::size_t>(NfType::kFirewall)] = 1;
@@ -124,8 +123,8 @@ TEST(CheckPlan, CatchesResourceViolation) {
 TEST(CheckPlan, CatchesOutOfRangeFraction) {
   Scenario s;
   PlacementPlan plan = s.valid_plan();
-  plan.distribution[0].fraction[1][0] = 1.4;
-  plan.distribution[0].fraction[2][0] = -0.4;
+  plan.distribution[0](1, 0) = 1.4;
+  plan.distribution[0](2, 0) = -0.4;
   const std::string err = check_plan(s.input, plan);
   EXPECT_NE(err.find("Eq. 8"), std::string::npos) << err;
 }
@@ -133,8 +132,10 @@ TEST(CheckPlan, CatchesOutOfRangeFraction) {
 TEST(CheckPlan, CatchesShapeMismatch) {
   Scenario s;
   PlacementPlan plan = s.valid_plan();
-  plan.distribution[0].fraction.pop_back();
-  EXPECT_NE(check_plan(s.input, plan), "");
+  plan.distribution[0] = ClassDistribution(2, 2);  // one path position short
+  EXPECT_NE(check_plan(s.input, plan).find("positions"), std::string::npos);
+  plan.distribution[0] = ClassDistribution(3, 1);  // one chain stage short
+  EXPECT_NE(check_plan(s.input, plan).find("stages"), std::string::npos);
   PlacementPlan plan2 = s.valid_plan();
   plan2.instance_count.pop_back();
   EXPECT_NE(check_plan(s.input, plan2), "");

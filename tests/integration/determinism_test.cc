@@ -108,9 +108,9 @@ std::string serialize_epoch(const core::Epoch& epoch) {
   w.begin_array();
   for (const core::ClassDistribution& dist : epoch.plan.distribution) {
     w.begin_array();
-    for (const auto& row : dist.fraction) {
+    for (std::size_t i = 0; i < dist.positions(); ++i) {
       w.begin_array();
-      for (const double d : row) w.value(d);
+      for (std::size_t j = 0; j < dist.stages(); ++j) w.value(dist(i, j));
       w.end_array();
     }
     w.end_array();

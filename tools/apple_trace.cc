@@ -15,6 +15,14 @@
 //     largest slice of the epoch budget. An epoch whose root span
 //     (core.pipeline.epoch / advance) the ring overwrote has no budget: it
 //     is marked truncated and its rows carry no shares and no flag.
+//   * a run-level block after each journal's per-epoch tables: for every
+//     core.pipeline.stage.* span, the epoch roots core.pipeline.{epoch,
+//     advance} and the ctrl.domain.{propose,reconcile,commit} phases, the
+//     epochs seen, total seconds, nearest-rank p50/p99 of the per-epoch
+//     totals and the share of the summed root wall time. Truncated epochs
+//     are counted and left out of the shares. The ctrl.domain phases run
+//     outside any epoch (each wraps several domains' epochs), so each of
+//     their occurrences counts as one sample.
 //
 // Timestamps are whatever clock the producing run injected — wall seconds
 // in benches, constant 0 in determinism tests (where the table degenerates
@@ -23,6 +31,7 @@
 // Exit status: 0 on success, 2 on usage errors, 1 when any input fails to
 // parse.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -193,19 +202,28 @@ bool starts_with(const std::string& s, std::string_view prefix) {
          s.compare(0, prefix.size(), prefix) == 0;
 }
 
-void print_attribution_table(const Journal& journal) {
-  std::vector<SpanSample> spans;
-  for (const JournalThread& t : journal.threads) collect_spans(t, spans);
+// (epoch -> name -> [total seconds, count]); std::map keeps output order
+// deterministic.
+using EpochTotals =
+    std::map<std::uint64_t, std::map<std::string, std::pair<double, int>>>;
 
-  // (epoch -> name -> [total seconds, count]); std::map keeps output order
-  // deterministic.
-  std::map<std::uint64_t, std::map<std::string, std::pair<double, int>>>
-      per_epoch;
-  for (const SpanSample& s : spans) {
-    auto& cell = per_epoch[s.epoch][journal.names[s.name]];
-    cell.first += s.duration;
-    cell.second += 1;
+// The epoch budget: the summed root pipeline spans of the epoch. False when
+// the ring overwrote them (the epoch is truncated).
+bool root_wall(const std::map<std::string, std::pair<double, int>>& stages,
+               double& wall) {
+  wall = 0.0;
+  bool has_root = false;
+  for (const char* root : {"core.pipeline.epoch", "core.pipeline.advance"}) {
+    const auto it = stages.find(root);
+    if (it == stages.end()) continue;
+    wall += it->second.first;
+    has_root = true;
   }
+  return has_root;
+}
+
+void print_attribution_table(const Journal& journal,
+                             const EpochTotals& per_epoch) {
   // Instant counts per epoch (rule installs, solver node events).
   std::map<std::uint64_t, std::map<std::string, std::uint64_t>> instants;
   for (const JournalThread& t : journal.threads) {
@@ -222,16 +240,9 @@ void print_attribution_table(const Journal& journal) {
 
   for (const auto& [epoch, stages] : per_epoch) {
     if (epoch == 0) continue;  // events outside any epoch scope
-    // The epoch budget is the root pipeline span of this epoch; an epoch
-    // that lost it to the ring prints as truncated.
+    // An epoch that lost its root span to the ring prints as truncated.
     double wall = 0.0;
-    bool has_root = false;
-    for (const char* root : {"core.pipeline.epoch", "core.pipeline.advance"}) {
-      const auto it = stages.find(root);
-      if (it == stages.end()) continue;
-      wall += it->second.first;
-      has_root = true;
-    }
+    const bool has_root = root_wall(stages, wall);
     if (has_root) {
       std::printf("epoch %llu  wall %.6fs\n",
                   static_cast<unsigned long long>(epoch), wall);
@@ -293,13 +304,101 @@ void print_attribution_table(const Journal& journal) {
   }
 }
 
+bool in_run_summary(const std::string& name) {
+  return starts_with(name, "core.pipeline.stage.") ||
+         name == "core.pipeline.epoch" || name == "core.pipeline.advance" ||
+         name == "ctrl.domain.propose" || name == "ctrl.domain.reconcile" ||
+         name == "ctrl.domain.commit";
+}
+
+// Nearest-rank percentile of ascending `sorted` (non-empty): the value at
+// 1-based rank ceil(p/100 * n).
+double nearest_rank(const std::vector<double>& sorted, double p) {
+  const double rank = std::ceil(p / 100.0 * static_cast<double>(sorted.size()));
+  return sorted[static_cast<std::size_t>(std::max(rank, 1.0)) - 1];
+}
+
+void print_run_summary(const Journal& journal,
+                       const std::vector<SpanSample>& spans,
+                       const EpochTotals& per_epoch) {
+  struct Row {
+    std::vector<double> samples;  // per-epoch totals (or occurrences)
+    double budgeted = 0.0;        // the part inside non-truncated epochs
+  };
+  std::map<std::string, Row> rows;
+  std::size_t epochs = 0;
+  std::size_t truncated = 0;
+  double root_total = 0.0;
+  for (const auto& [epoch, stages] : per_epoch) {
+    if (epoch == 0) continue;
+    ++epochs;
+    double wall = 0.0;
+    const bool has_root = root_wall(stages, wall);
+    if (has_root) {
+      root_total += wall;
+    } else {
+      ++truncated;
+    }
+    for (const auto& [name, cell] : stages) {
+      if (!in_run_summary(name)) continue;
+      Row& row = rows[name];
+      row.samples.push_back(cell.first);
+      if (has_root) row.budgeted += cell.first;
+    }
+  }
+  for (const SpanSample& s : spans) {
+    if (s.epoch != 0 || !in_run_summary(journal.names[s.name])) continue;
+    Row& row = rows[journal.names[s.name]];
+    row.samples.push_back(s.duration);
+    row.budgeted += s.duration;
+  }
+
+  std::printf("run  %zu epochs (%zu truncated), roots %.6fs\n", epochs,
+              truncated, root_total);
+  std::printf("  %-40s %7s %11s %11s %11s %6s\n", "span", "epochs", "total",
+              "p50", "p99", "share");
+  std::vector<std::pair<double, std::string>> order;
+  for (auto& [name, row] : rows) {
+    double total = 0.0;
+    for (const double d : row.samples) total += d;
+    std::sort(row.samples.begin(), row.samples.end());
+    order.emplace_back(total, name);
+  }
+  std::stable_sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.first > b.first;
+  });
+  for (const auto& [total, name] : order) {
+    const Row& row = rows.at(name);
+    const double share =
+        root_total > 0.0 ? 100.0 * row.budgeted / root_total : 0.0;
+    std::printf("  %-40s %7zu %10.6fs %10.6fs %10.6fs %5.1f%%\n", name.c_str(),
+                row.samples.size(), total, nearest_rank(row.samples, 50.0),
+                nearest_rank(row.samples, 99.0), share);
+  }
+}
+
+// The per-epoch tables, then the run-level block.
+void print_attribution(const Journal& journal) {
+  std::vector<SpanSample> spans;
+  for (const JournalThread& t : journal.threads) collect_spans(t, spans);
+  EpochTotals per_epoch;
+  for (const SpanSample& s : spans) {
+    auto& cell = per_epoch[s.epoch][journal.names[s.name]];
+    cell.first += s.duration;
+    cell.second += 1;
+  }
+  print_attribution_table(journal, per_epoch);
+  print_run_summary(journal, spans, per_epoch);
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: apple_trace [--chrome OUT.json] [--table] "
                "FLIGHT.json...\n"
                "  --chrome OUT.json  merge inputs into a Chrome trace file\n"
                "  --table            print the per-epoch latency attribution\n"
-               "                     table (default when --chrome is absent)\n");
+               "                     tables and the run-level block (default\n"
+               "                     when --chrome is absent)\n");
   return 2;
 }
 
@@ -344,7 +443,7 @@ int main(int argc, char** argv) {
                 journals.size(), journals.size() == 1 ? "" : "s");
   }
   if (want_table) {
-    for (const Journal& journal : journals) print_attribution_table(journal);
+    for (const Journal& journal : journals) print_attribution(journal);
   }
   return 0;
 }
