@@ -43,6 +43,19 @@ bool same_subclass_plans(const std::vector<dataplane::SubclassPlan>& a,
   return true;
 }
 
+// A class store shard's (src, dst) pair as one ascending-comparable key.
+std::uint64_t od_key(const traffic::ClassStore::Shard& shard, std::size_t i) {
+  return (static_cast<std::uint64_t>(shard.srcs[i]) << 32) | shard.dsts[i];
+}
+
+// The store diff's merge precondition: a shard's classes are in ascending
+// (src, dst) order.
+void check_od_order(const traffic::ClassStore::Shard& shard) {
+  for (std::size_t i = 1; i < shard.size(); ++i) {
+    APPLE_CHECK_LE(od_key(shard, i - 1), od_key(shard, i));
+  }
+}
+
 double boot_latency_of(const InstanceOp& op,
                        const orch::OrchestrationTimings& timings) {
   switch (op.kind) {
@@ -121,6 +134,7 @@ ClassDelta diff_classes(const traffic::ClassStore& prev,
 
   ClassDelta delta;
   delta.prev_of.assign(next.size(), kNoClass);
+  std::vector<bool> matched;
   for (std::size_t s = 0; s < next.num_shards(); ++s) {
     const traffic::ClassStore::Shard& ps = prev.shard(s);
     const traffic::ClassStore::Shard& ns = next.shard(s);
@@ -139,19 +153,31 @@ ClassDelta diff_classes(const traffic::ClassStore& prev,
       continue;
     }
     ++delta.shards_dirty;
-    std::map<std::array<std::uint64_t, 3>, std::size_t> index;
-    for (std::size_t p = 0; p < ps.size(); ++p) {
-      index.emplace(
-          std::array<std::uint64_t, 3>{ps.srcs[p], ps.dsts[p], ps.chains[p]},
-          p);
-    }
-    std::vector<bool> matched(ps.size(), false);
+    // Both shards list their classes in ascending (src, dst) order — the
+    // build appends each shard's OD pairs in row-major scan order and
+    // re-rating compacts in place — so one pair's classes form a run and
+    // the two shards merge run against run. Within a run a next class
+    // matches the first prev class with its chain, the entry an index
+    // keyed by (src, dst, chain) would keep when a mix names a chain twice.
+    check_od_order(ps);
+    check_od_order(ns);
+    matched.assign(ps.size(), false);
+    std::size_t run = 0;  // first prev class of the current pair's run
+    std::size_t run_end = 0;
     for (std::size_t h = 0; h < ns.size(); ++h) {
-      const auto it = index.find({ns.srcs[h], ns.dsts[h], ns.chains[h]});
+      const std::uint64_t key = od_key(ns, h);
+      if (h == 0 || key != od_key(ns, h - 1)) {
+        run = run_end;
+        while (run < ps.size() && od_key(ps, run) < key) ++run;
+        run_end = run;
+        while (run_end < ps.size() && od_key(ps, run_end) == key) ++run_end;
+      }
+      std::size_t p = run;
+      while (p < run_end && ps.chains[p] != ns.chains[h]) ++p;
       bool rerouted = true;
-      if (it != index.end()) {
+      if (p < run_end) {
         const std::span<const net::NodeId> prev_path =
-            prev.paths().nodes(ps.paths[it->second]);
+            prev.paths().nodes(ps.paths[p]);
         const std::span<const net::NodeId> next_path =
             next.paths().nodes(ns.paths[h]);
         rerouted = !std::equal(prev_path.begin(), prev_path.end(),
@@ -161,7 +187,6 @@ ClassDelta diff_classes(const traffic::ClassStore& prev,
         delta.added.push_back(noff + h);
         continue;
       }
-      const std::size_t p = it->second;
       matched[p] = true;
       delta.prev_of[noff + h] = poff + p;
       const double prev_rate = ps.rates[p];

@@ -367,6 +367,13 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
           ++it;
           continue;  // retry at the next poll under a fresh id
         }
+        if (r.status == orch::LaunchStatus::kInsufficientResources) {
+          // The host has no cores free for the replacement: retry at the
+          // next poll. The fault stays open until a launch succeeds and
+          // counts as unrepaired if the drain ends first.
+          ++it;
+          continue;
+        }
         if (!r.ok()) {
           throw std::logic_error(std::string("recovery launch failed: ") +
                                  orch::to_string(r.status));

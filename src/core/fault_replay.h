@@ -16,7 +16,9 @@
 //                        classes blackhole until the link's up event (the
 //                        availability cost Sec. III accepts by design).
 //   * boot failure     — the recovery launch fails; retried at the next poll
-//                        under a fresh instance id.
+//                        under a fresh instance id. A launch the host has no
+//                        cores for is retried the same way; its fault stays
+//                        unrepaired until one succeeds.
 //   * slow boot        — the recovery launch takes multiplier× longer; the
 //                        blackhole window stretches accordingly.
 //   * rule install     — the recovery rule swap is rejected once; retried at

@@ -1,6 +1,8 @@
 #include "core/rule_generator.h"
 
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/obs.h"
 
@@ -23,12 +25,14 @@ RuleGenerationReport RuleGenerator::account(
     const net::NodeId ingress = cls.path.front();
     // Without tagging, classification rules sit on every switch the flow
     // can traverse: the ECMP union when routing is available, otherwise
-    // the single installed path.
-    const std::vector<net::NodeId> classify_at =
-        routing != nullptr
-            ? net::ecmp_node_union(*routing, input.topology->num_nodes(),
-                                   cls.src, cls.dst)
-            : cls.path;
+    // the single installed path (read in place).
+    std::vector<net::NodeId> ecmp_union;
+    std::span<const net::NodeId> classify_at = cls.path;
+    if (routing != nullptr) {
+      ecmp_union = net::ecmp_node_union(*routing, input.topology->num_nodes(),
+                                        cls.src, cls.dst);
+      classify_at = ecmp_union;
+    }
     for (const dataplane::SubclassPlan& plan : subclasses[h]) {
       tagged.add_tagged_subclass(plan, ingress);
       untagged.add_untagged_subclass(plan, classify_at);

@@ -244,7 +244,7 @@ std::vector<std::vector<dataplane::SubclassPlan>> assign_subclasses(
           } else {
             dataplane::HostVisit visit;
             visit.at_switch = cls.path[unit.pos];
-            visit.instances = {unit.instance};
+            visit.instances.push_back(unit.instance);
             sub.itinerary.push_back(std::move(visit));
           }
         }

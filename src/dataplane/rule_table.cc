@@ -34,7 +34,7 @@ void TcamAccountant::add_tagged_subclass(const SubclassPlan& plan,
     // mismatch here would steer packets into the wrong APPLE host.
     APPLE_DCHECK_EQ(switch_of_host_tag(host_tag_for(visit.at_switch)),
                     visit.at_switch);
-    ++switches_[visit.at_switch].host_tags[host_tag_for(visit.at_switch)];
+    ++switches_[visit.at_switch].host_tag_users;
   }
 }
 
@@ -46,10 +46,9 @@ void TcamAccountant::remove_tagged_subclass(const SubclassPlan& plan,
   switches_[ingress].classification -= plan.classifier_prefix_rules;
   for (const HostVisit& visit : plan.itinerary) {
     check_switch(switches_.size(), visit.at_switch);
-    auto& tags = switches_[visit.at_switch].host_tags;
-    const auto it = tags.find(host_tag_for(visit.at_switch));
-    APPLE_CHECK(it != tags.end());
-    if (--it->second == 0) tags.erase(it);
+    std::size_t& users = switches_[visit.at_switch].host_tag_users;
+    APPLE_CHECK_GT(users, 0u);
+    --users;
   }
 }
 
@@ -80,7 +79,7 @@ std::vector<TcamUsage> TcamAccountant::usage() const {
   for (std::size_t v = 0; v < switches_.size(); ++v) {
     const SwitchState& s = switches_[v];
     TcamUsage& u = out[v];
-    u.host_match = s.host_tags.size();
+    u.host_match = s.host_tag_users > 0 ? 1 : 0;
     u.classification = s.classification;
     if (!pipelined_ && u.host_match > 0 && u.classification > 0) {
       // Cross-product of the two tables preserves the semantics on

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "dataplane/types.h"
@@ -74,11 +73,13 @@ class TcamAccountant {
  private:
   struct SwitchState {
     std::size_t classification = 0;
-    // host tag -> number of sub-class itineraries using it. The TCAM holds
-    // one entry per live tag; the refcount makes removal exact.
-    std::unordered_map<HostTag, std::size_t> host_tags;
+    // Number of sub-class itinerary visits to this switch's host. Switch v
+    // only ever matches its own host tag host_tag_for(v), so the TCAM holds
+    // one host-match entry while the count is positive; the refcount makes
+    // removal exact.
+    std::size_t host_tag_users = 0;
 
-    bool any_rule() const { return classification > 0 || !host_tags.empty(); }
+    bool any_rule() const { return classification > 0 || host_tag_users > 0; }
   };
   std::vector<SwitchState> switches_;
   bool pipelined_ = true;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/inline_vector.h"
 #include "hsa/predicate.h"
 #include "net/topology.h"
 #include "traffic/flow_classes.h"
@@ -52,10 +53,11 @@ struct Packet {
 
 // One stop of a sub-class itinerary: the APPLE host attached to `at_switch`
 // processes the packet with `instances` (consecutive chain stages), in
-// order.
+// order. Every catalog chain has at most 4 stages, so a visit's instance
+// list stays inline (DESIGN.md §3); longer lists spill to the heap.
 struct HostVisit {
   net::NodeId at_switch = net::kInvalidNode;
-  std::vector<vnf::InstanceId> instances;
+  common::InlineVector<vnf::InstanceId, 4> instances;
 };
 
 // A sub-class: the flows of a class that traverse the same VNF instance
@@ -66,8 +68,9 @@ struct SubclassPlan {
   SubclassId subclass_id = 0;
   double weight = 0.0;
   // Host visits in path order; concatenated instance lists realize the
-  // policy chain in order.
-  std::vector<HostVisit> itinerary;
+  // policy chain in order. Two visits stay inline: 98% of the 100k-class
+  // epoch's sub-classes visit one or two hosts (DESIGN.md §3).
+  common::InlineVector<HostVisit, 2> itinerary;
 
   // Number of TCAM prefix rules needed to express this sub-class with
   // wildcard matching (the second method of Sec. V-A). Computed by the

@@ -274,7 +274,7 @@ std::size_t update_rates(ClassStore& store, const TrafficMatrix& tm,
   std::vector<std::size_t> evicted(store.num_shards(), 0);
   const auto rerate_shard = [&](std::size_t s) {
     ClassStore::Shard& sh = store.shards_[s];
-    // Shards iterate in ascending (src, dst, chain) order, so one pair's
+    // Shards iterate in ascending (src, dst) order, so one pair's
     // classes are consecutive: a last-pair memo gives exactly one
     // assignment lookup per OD pair.
     constexpr std::uint64_t kNoPair = ~0ULL;

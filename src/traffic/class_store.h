@@ -17,13 +17,13 @@
 //    std::vector<NodeId> copy each.
 //
 // Determinism contract: the store's iteration order — shard 0..S-1, within
-// a shard ascending (src, dst, chain) scan order — and the dense class ids
-// assigned along it are a pure function of (topology, matrix, assignment,
-// options.num_shards). The parallel build fans the OD scan and the
-// per-shard assembly out over exec::parallel_for with per-slot output
-// buffers merged in deterministic order, so the result is byte-identical
-// to the serial build for every worker count (gated by bench_class_scale
-// across {1,2,4,8}).
+// a shard ascending (src, dst) scan order with one pair's classes in its
+// chain mix's order — and the dense class ids assigned along it are a pure
+// function of (topology, matrix, assignment, options.num_shards). The
+// parallel build fans the OD scan and the per-shard assembly out over
+// exec::parallel_for with per-slot output buffers merged in deterministic
+// order, so the result is byte-identical to the serial build for every
+// worker count (gated by bench_class_scale across {1,2,4,8}).
 #pragma once
 
 #include <cstdint>

@@ -12,14 +12,13 @@
 // canonical representation lives in traffic/class_store.h.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "common/inline_vector.h"
 #include "net/routing.h"
 #include "net/topology.h"
 #include "traffic/traffic_matrix.h"
@@ -53,55 +52,12 @@ struct TrafficClass {
   double rate_mbps = 0;  // T_h
 };
 
-// The (chain, traffic share) mix of one OD pair. Small-buffer value type:
-// the assignment is called for every OD pair of every build/update, and the
-// common answers are "no policy" (empty) or a single chain, so neither may
-// touch the heap. Mixes wider than the inline buffer spill to a vector
-// (scale scenarios fan one pair out over many chains).
-class ChainMix {
- public:
-  using value_type = std::pair<ChainId, double>;
-  static constexpr std::size_t kInlineCapacity = 4;
-
-  ChainMix() = default;
-  ChainMix(std::initializer_list<value_type> items) {
-    for (const value_type& item : items) push_back(item);
-  }
-
-  void push_back(value_type item) {
-    if (size_ < kInlineCapacity) {
-      inline_[size_++] = item;
-      return;
-    }
-    if (overflow_.empty()) {
-      overflow_.assign(inline_.begin(), inline_.end());
-      overflow_.reserve(size_ + 1);
-    }
-    overflow_.push_back(item);
-    ++size_;
-  }
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  const value_type* begin() const {
-    return size_ <= kInlineCapacity ? inline_.data() : overflow_.data();
-  }
-  const value_type* end() const { return begin() + size_; }
-  const value_type& operator[](std::size_t i) const { return begin()[i]; }
-
- private:
-  std::array<value_type, kInlineCapacity> inline_{};
-  std::vector<value_type> overflow_;
-  std::size_t size_ = 0;
-};
-
-inline bool operator==(const ChainMix& a, const ChainMix& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
+// The (chain, traffic share) mix of one OD pair. The assignment is called
+// for every OD pair of every build/update, and the common answers are "no
+// policy" (empty) or a single chain, so neither may touch the heap. Mixes
+// wider than the inline buffer spill to a vector (scale scenarios fan one
+// pair out over many chains).
+using ChainMix = common::InlineVector<std::pair<ChainId, double>, 4>;
 
 // Returns the (chain, traffic share) mix for an OD pair; shares must sum to
 // at most 1 (the remainder is unpolicied traffic APPLE ignores). Assignments

@@ -15,14 +15,14 @@ using vnf::NfType;
 
 SubclassPlan make_plan(traffic::ClassId cls, dataplane::SubclassId sub,
                        double weight, net::NodeId at,
-                       std::vector<vnf::InstanceId> instances) {
+                       const std::vector<vnf::InstanceId>& instances) {
   SubclassPlan plan;
   plan.class_id = cls;
   plan.subclass_id = sub;
   plan.weight = weight;
   HostVisit visit;
   visit.at_switch = at;
-  visit.instances = std::move(instances);
+  for (const vnf::InstanceId id : instances) visit.instances.push_back(id);
   plan.itinerary = {visit};
   return plan;
 }

@@ -186,6 +186,59 @@ TEST(DiffClassesStore, MatchesFlatDiffBucketForBucket) {
   EXPECT_FALSE(sharded.rate_changed.empty());
 }
 
+// Prev and next differ inside OD pairs, not only in rates: a second chain
+// assignment drops and adds chains on a third of the pairs, a link down in
+// next's routing reroutes every pair that crossed it, and some mixes name
+// one chain twice. The store diff must still match the flat diff bucket
+// for bucket.
+TEST(DiffClassesStore, MatchesFlatDiffWhenPairsChangeChainsAndRoutes) {
+  const StoreScenario sc;
+  const traffic::ChainAssignment before = [](net::NodeId s, net::NodeId d) {
+    const traffic::ChainId k = (7 * s + d) % 4;
+    traffic::ChainMix mix{{k, 0.5}, {(k + 1) % 4, 0.3}};
+    if ((s + d) % 5 == 0) mix.push_back({k, 0.2});  // chain k named twice
+    return mix;
+  };
+  const traffic::ChainAssignment after = [&before](net::NodeId s,
+                                                   net::NodeId d) {
+    if ((s + 2 * d) % 3 != 0) return before(s, d);
+    // Chain k dropped, chain k + 2 added, chain k + 1 named twice.
+    const traffic::ChainId k = (7 * s + d) % 4;
+    return traffic::ChainMix{
+        {(k + 1) % 4, 0.3}, {(k + 2) % 4, 0.5}, {(k + 1) % 4, 0.1}};
+  };
+  net::Topology cut = sc.topo;
+  cut.set_link_state(0, false);
+  const net::AllPairsPaths rerouted(cut);
+  const traffic::ClassStore prev = traffic::build_class_store(
+      sc.topo, sc.routing, sc.base, before, sc.opt);
+  const traffic::ClassStore next = traffic::build_class_store(
+      cut, rerouted, sc.perturbed_shard0(), after, sc.opt);
+
+  const ClassDelta sharded = diff_classes(prev, next);
+  const ClassDelta flat =
+      diff_classes(prev.materialize_view(), next.materialize_view());
+  EXPECT_EQ(sharded.added, flat.added);
+  EXPECT_EQ(sharded.removed, flat.removed);
+  EXPECT_EQ(sharded.rate_changed, flat.rate_changed);
+  EXPECT_EQ(sharded.unchanged, flat.unchanged);
+  EXPECT_EQ(sharded.prev_of, flat.prev_of);
+  EXPECT_EQ(sharded.shards_dirty, 8u);
+  // Every bucket is exercised, and some next classes share a prev class
+  // (the duplicated chain of an unchanged pair).
+  EXPECT_FALSE(sharded.added.empty());
+  EXPECT_FALSE(sharded.removed.empty());
+  EXPECT_FALSE(sharded.rate_changed.empty());
+  EXPECT_FALSE(sharded.unchanged.empty());
+  std::vector<std::size_t> matched;
+  for (const std::size_t p : sharded.prev_of) {
+    if (p != kNoClass) matched.push_back(p);
+  }
+  std::sort(matched.begin(), matched.end());
+  EXPECT_NE(std::adjacent_find(matched.begin(), matched.end()),
+            matched.end());
+}
+
 TEST(DiffClassesStore, IdenticalStoresAreAllCleanShards) {
   const StoreScenario sc;
   const traffic::ClassStore prev = sc.build(sc.base);

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "core/optimization_engine.h"
+#include "dataplane/data_plane.h"
 #include "net/topologies.h"
 
 namespace apple::core {
@@ -174,6 +175,78 @@ TEST(AssignSubclasses, ThrowsWhenPlanLacksInstances) {
   const InstanceInventory none = materialize_inventory(input, empty);
   EXPECT_THROW(assign_subclasses(input, p.plan, none),
                std::invalid_argument);
+}
+
+// A hand-built plan whose sub-classes outgrow both inline buffers of a
+// sub-class plan: class 0 runs a 5-stage chain inside switch 1's host (five
+// instances in one visit), class 1 takes its three stages at three hosts
+// (three visits). Both must install and walk their chain in order.
+TEST(AssignSubclasses, SpilledItinerariesInstallAndWalk) {
+  const net::Topology topo = net::make_line(4, 64.0);
+  const std::vector<vnf::PolicyChain> chains{
+      {NfType::kFirewall, NfType::kProxy, NfType::kNat, NfType::kIds,
+       NfType::kFirewall},
+      {NfType::kNat, NfType::kFirewall, NfType::kIds}};
+  std::vector<traffic::TrafficClass> classes(2);
+  classes[0] = {0, 0, 3, {0, 1, 2, 3}, 0, 100.0};
+  classes[1] = {1, 0, 3, {0, 1, 2, 3}, 1, 100.0};
+  const PlacementInput input = make_input(topo, classes, chains);
+
+  PlacementPlan plan;
+  plan.feasible = true;
+  plan.instance_count.assign(topo.num_nodes(), {});
+  const auto place = [&](net::NodeId v, NfType n) {
+    plan.instance_count[v][static_cast<std::size_t>(n)] = 1;
+  };
+  place(1, NfType::kFirewall);
+  place(1, NfType::kProxy);
+  place(1, NfType::kNat);
+  place(1, NfType::kIds);
+  place(2, NfType::kFirewall);
+  place(3, NfType::kIds);
+  plan.distribution.emplace_back(4, 5);  // class 0: every stage at switch 1
+  for (std::size_t j = 0; j < 5; ++j) plan.distribution[0](1, j) = 1.0;
+  plan.distribution.emplace_back(4, 3);  // class 1: stage j at switch j + 1
+  for (std::size_t j = 0; j < 3; ++j) plan.distribution[1](j + 1, j) = 1.0;
+  ASSERT_EQ(check_plan(input, plan), "");
+
+  const InstanceInventory inventory = materialize_inventory(input, plan);
+  const auto subclasses = assign_subclasses(input, plan, inventory);
+  ASSERT_EQ(subclasses[0].size(), 1u);
+  ASSERT_EQ(subclasses[0][0].itinerary.size(), 1u);
+  EXPECT_GT(subclasses[0][0].itinerary[0].instances.size(),
+            decltype(dataplane::HostVisit::instances)::kInlineCapacity);
+  ASSERT_EQ(subclasses[1].size(), 1u);
+  EXPECT_GT(subclasses[1][0].itinerary.size(),
+            decltype(dataplane::SubclassPlan::itinerary)::kInlineCapacity);
+
+  dataplane::DataPlane dp(topo);
+  for (net::NodeId v = 0; v < topo.num_nodes(); ++v) {
+    for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
+      const NfType type = static_cast<NfType>(n);
+      for (const vnf::InstanceId id : inventory.by_node_type[v][n]) {
+        dp.register_instance(
+            vnf::VnfInstance{id, type, v, vnf::spec_of(type).capacity_mbps});
+      }
+    }
+  }
+  for (std::size_t h = 0; h < classes.size(); ++h) {
+    dp.install_class(classes[h], subclasses[h]);
+  }
+  for (std::size_t h = 0; h < classes.size(); ++h) {
+    for (std::uint32_t salt = 0; salt < 4; ++salt) {
+      hsa::PacketHeader header;
+      header.src_ip = 0x0a000000u + salt;
+      header.dst_ip = 0xc0a80000u + static_cast<std::uint32_t>(h);
+      header.src_port = static_cast<std::uint16_t>(1024 + salt);
+      header.dst_port = 80;
+      header.proto = 6;
+      const dataplane::DataPlane::WalkResult walk =
+          dp.walk(classes[h].id, header);
+      ASSERT_TRUE(walk.delivered) << walk.error;
+      EXPECT_EQ(dp.traversed_types(walk.packet), chains[h]);
+    }
+  }
 }
 
 TEST(ClassifierRules, HashingCostsOneRule) {

@@ -12,7 +12,7 @@ SubclassPlan make_plan(traffic::ClassId cls, SubclassId sub, double weight,
   plan.class_id = cls;
   plan.subclass_id = sub;
   plan.weight = weight;
-  plan.itinerary = std::move(itinerary);
+  for (HostVisit& visit : itinerary) plan.itinerary.push_back(std::move(visit));
   plan.classifier_prefix_rules = prefix_rules;
   return plan;
 }

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "net/topologies.h"
 #include "traffic/synthesis.h"
 #include "traffic/traffic_matrix.h"
@@ -247,6 +251,71 @@ TEST_F(FaultReplayTest, CrashReplacementBeforeNodeSwapKeepsIdsApart) {
 // A fault-free fault replay runs the live system a plain replay runs, with
 // the controller's timing: the same per-snapshot losses and the same
 // clock, at any snapshot length.
+// The seed mix of the control-loop benchmark (perfbench/src/common.cc), so
+// the test below rebuilds one of its replay-lp segments exactly.
+std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t purpose) {
+  std::uint64_t x = seed * 0x9e3779b97f4a7c15ULL + purpose;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// replay-lp's seed-309 segment 8 on GEANT's default 64-core hosts: a crashed
+// instance's host has no cores left for its same-host replacement. The
+// recovery launch is retried at every poll instead of throwing, and the
+// fault it could not repair is reported as unrepaired.
+TEST_F(FaultReplayTest, RecoveryLaunchWithoutCoresIsRetriedNotThrown) {
+  constexpr std::uint64_t kSeed = 309;
+  constexpr std::size_t kSegment = 8;
+  constexpr std::size_t kFirst = 8 * kSegment;
+  const net::Topology geant = net::make_geant();
+  ControllerConfig cfg;
+  cfg.engine.strategy = PlacementStrategy::kLpRound;
+  cfg.policied_fraction = 0.4;
+  const AppleController controller(geant, vnf::default_policy_chains(), cfg);
+
+  const traffic::TrafficMatrix base = traffic::make_gravity_matrix(
+      geant.num_nodes(), {.total_mbps = 16000.0, .seed = 30});
+  traffic::DiurnalConfig diurnal;
+  diurnal.num_snapshots = 12 * kSegment;
+  diurnal.diurnal_amplitude = 0.15;
+  diurnal.noise_sigma = 0.08;
+  diurnal.seed = derive_seed(kSeed, 3);
+  std::vector<traffic::TrafficMatrix> series =
+      traffic::make_diurnal_series(base, diurnal);
+  traffic::BurstConfig bursts;
+  bursts.probability = 0.2;
+  bursts.magnitude = 4.0;
+  bursts.duration = 3;
+  bursts.seed = derive_seed(kSeed, 4);
+  traffic::inject_bursts(series, bursts);
+  const std::span<const traffic::TrafficMatrix> segment =
+      std::span<const traffic::TrafficMatrix>(series).subspan(kFirst,
+                                                              kSegment);
+  const Epoch epoch = controller.optimize(traffic::mean_matrix(segment));
+
+  fault::ScheduleConfig chaos;
+  chaos.seed = derive_seed(kSeed, 100 + kFirst / kSegment);
+  chaos.start = 1.0;
+  chaos.horizon = static_cast<double>(kSegment) - 1.0;
+  chaos.instance_crashes = 2;
+  chaos.link_flaps = 1;
+  chaos.boot_failures = 1;
+  chaos.slow_boots = 1;
+  chaos.rule_install_failures = 1;
+  chaos.correlated_bursts = 1;
+  FaultReplayOptions options;
+  options.drain_limit = 150.0;
+
+  FaultReplayResult result;
+  ASSERT_NO_THROW(result = replay_with_faults(
+                      controller, epoch, segment,
+                      fault::make_schedule(geant, chaos), options));
+  EXPECT_EQ(result.recovery.policy_violations, 0u);
+  EXPECT_FALSE(result.recovery.all_repaired())
+      << result.recovery.fingerprint();
+}
+
 class FaultFreeReplayTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(FaultFreeReplayTest, MatchesPlainReplay) {

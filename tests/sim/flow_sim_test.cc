@@ -11,7 +11,7 @@ using vnf::NfType;
 using vnf::VnfInstance;
 
 SubclassPlan plan_through(traffic::ClassId cls,
-                          std::vector<vnf::InstanceId> instances,
+                          const std::vector<vnf::InstanceId>& instances,
                           double weight = 1.0,
                           dataplane::SubclassId sub = 0) {
   SubclassPlan plan;
@@ -20,7 +20,7 @@ SubclassPlan plan_through(traffic::ClassId cls,
   plan.weight = weight;
   HostVisit visit;
   visit.at_switch = 0;
-  visit.instances = std::move(instances);
+  for (const vnf::InstanceId id : instances) visit.instances.push_back(id);
   plan.itinerary = {visit};
   return plan;
 }
