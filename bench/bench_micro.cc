@@ -4,6 +4,7 @@
 // Not a paper artifact — used to watch for performance regressions.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <utility>
@@ -16,8 +17,10 @@
 #include "core/subclass_assigner.h"
 #include "hsa/atomic.h"
 #include "hsa/classifier.h"
+#include "lp/basis_lu.h"
 #include "lp/mip.h"
 #include "lp/simplex.h"
+#include "lp/sparse.h"
 #include "net/routing.h"
 #include "net/topologies.h"
 #include "sim/event_queue.h"
@@ -173,6 +176,62 @@ void BM_SimplexRandomSparse(benchmark::State& state) {
 BENCHMARK(BM_SimplexRandomSparse)
     ->ArgNames({"revised", "density_tier"})
     ->ArgsProduct({{0, 1}, {0, 1, 2}});
+
+// Sparse m x m basis with a dominant diagonal in [2, 4] and 3 distinct
+// off-diagonal entries in [-1, 1] per column, drawn from the rows within 8
+// of the diagonal. The band keeps LU fill linear in m, so the timing shows
+// the elimination's own cost rather than the fill's.
+lp::SparseMatrix make_banded_basis(std::size_t m, std::uint64_t seed) {
+  constexpr std::size_t kHalfBand = 8;
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> value(-1.0, 1.0);
+  std::uniform_real_distribution<double> diag(2.0, 4.0);
+  std::vector<std::int32_t> col_start{0};
+  std::vector<lp::SparseMatrix::Entry> entries;
+  std::vector<std::size_t> rows;
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t lo = j >= kHalfBand ? j - kHalfBand : 0;
+    const std::size_t hi = std::min(m - 1, j + kHalfBand);
+    std::uniform_int_distribution<std::size_t> row(lo, hi);
+    rows.assign(1, j);
+    while (rows.size() < 4) {
+      const std::size_t r = row(rng);
+      if (std::find(rows.begin(), rows.end(), r) == rows.end()) {
+        rows.push_back(r);
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    for (const std::size_t r : rows) {
+      entries.push_back(
+          {static_cast<std::int32_t>(r), r == j ? diag(rng) : value(rng)});
+    }
+    col_start.push_back(static_cast<std::int32_t>(entries.size()));
+  }
+  return lp::SparseMatrix(m, m, std::move(col_start), std::move(entries));
+}
+
+// One BasisLu::factorize of the banded basis per iteration: the cost the
+// revised simplex pays at every refactorization. With elimination limited
+// to each column's reach it grows near-linearly in m; a scan over every
+// earlier step per column grows quadratically.
+void BM_BasisLuFactorize(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const lp::SparseMatrix basis = make_banded_basis(m, /*seed=*/99);
+  std::vector<std::int32_t> basic(m);
+  for (std::size_t i = 0; i < m; ++i) basic[i] = static_cast<std::int32_t>(i);
+  lp::BasisLu lu;
+  for (auto _ : state) {
+    if (!lu.factorize(basis, basic)) {
+      state.SkipWithError("banded basis reported singular");
+      break;
+    }
+  }
+  state.counters["factorizations/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  state.counters["fill_nnz"] =
+      benchmark::Counter(static_cast<double>(lu.fill_nnz()));
+}
+BENCHMARK(BM_BasisLuFactorize)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_EventQueue(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

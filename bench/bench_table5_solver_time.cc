@@ -3,10 +3,10 @@
 // Internet2 up to 3.013 s for AS-3679).
 //
 // We report our solver stack instead of CPLEX: the LP-guided rounding
-// strategy where the LP is tractable, and the scalable greedy everywhere
-// (the paper itself defers to heuristics for gigantic networks). The shape
-// to reproduce: sub-second on the small/medium topologies, growing to
-// seconds at 79 switches.
+// strategy and the scalable greedy (the paper itself defers to heuristics
+// for gigantic networks), both on every topology. The shape to reproduce:
+// sub-second on the small/medium topologies, growing to seconds at 79
+// switches.
 //
 // Also prints Table IV (the VNF data sheets), since it is the input that
 // parameterizes every run, and a serial-vs-parallel section for the exact
@@ -44,12 +44,12 @@ struct Row {
   std::string label;
   std::size_t nodes = 0, links = 0, classes = 0;
   double greedy_s = 0.0;
-  double lp_round_s = -1.0;  // <0 = skipped (LP too large)
+  double lp_round_s = 0.0;
   std::uint64_t instances = 0;
 };
 
 Row run_case(const std::string& label, const net::Topology& topo,
-             double total_mbps, bool run_lp, std::size_t repetitions) {
+             double total_mbps, std::size_t repetitions) {
   const net::AllPairsPaths routing(topo);
   const auto chains = vnf::default_policy_chains();
   const traffic::TrafficMatrix tm = traffic::make_gravity_matrix(
@@ -78,12 +78,9 @@ Row run_case(const std::string& label, const net::Topology& topo,
   }
   row.greedy_s = total / static_cast<double>(repetitions);
 
-  if (run_lp) {
-    core::EngineOptions lp;
-    lp.strategy = core::PlacementStrategy::kLpRound;
-    const auto plan = core::OptimizationEngine(lp).place(input);
-    row.lp_round_s = plan.solve_seconds;
-  }
+  core::EngineOptions lp;
+  lp.strategy = core::PlacementStrategy::kLpRound;
+  row.lp_round_s = core::OptimizationEngine(lp).place(input).solve_seconds;
   return row;
 }
 
@@ -208,23 +205,16 @@ int main() {
   std::vector<Row> rows;
   for (const auto& tc : apple::bench::simulation_topologies()) {
     rows.push_back(run_case(tc.label, tc.topo, tc.total_mbps,
-                            /*run_lp=*/true, /*repetitions=*/5));
+                            /*repetitions=*/5));
   }
   rows.push_back(run_case("AS-3679", apple::bench::large_topology(), 40000.0,
-                          /*run_lp=*/false, /*repetitions=*/3));
+                          /*repetitions=*/3));
 
   for (const Row& row : rows) {
-    if (row.lp_round_s >= 0.0) {
-      std::printf("%-10s %-6zu %-6zu %-8zu %-14.4f %-14.4f %-10llu\n",
-                  row.label.c_str(), row.nodes, row.links, row.classes,
-                  row.greedy_s, row.lp_round_s,
-                  static_cast<unsigned long long>(row.instances));
-    } else {
-      std::printf("%-10s %-6zu %-6zu %-8zu %-14.4f %-14s %-10llu\n",
-                  row.label.c_str(), row.nodes, row.links, row.classes,
-                  row.greedy_s, "(skipped)",
-                  static_cast<unsigned long long>(row.instances));
-    }
+    std::printf("%-10s %-6zu %-6zu %-8zu %-14.4f %-14.4f %-10llu\n",
+                row.label.c_str(), row.nodes, row.links, row.classes,
+                row.greedy_s, row.lp_round_s,
+                static_cast<unsigned long long>(row.instances));
   }
   std::printf(
       "\nPaper Table V (CPLEX): Internet2 0.029 s, GEANT 0.1 s, UNIV1 0.235 s,\n"

@@ -86,8 +86,8 @@ int main() {
     const auto inventory = core::materialize_inventory(input, plan);
     const auto subclasses = core::assign_subclasses(input, plan, inventory);
     dataplane::DataPlane dp(topo);
-    const auto report =
-        core::RuleGenerator().install(input, subclasses, inventory, dp);
+    core::RuleGenerator().install(input, subclasses, inventory, dp);
+    const auto report = core::RuleGenerator().account(input, subclasses);
     std::printf("TCAM: %zu entries with tagging (vs %zu without, %.1fx)\n",
                 report.tcam_with_tagging, report.tcam_without_tagging,
                 report.tcam_reduction_ratio());

@@ -50,12 +50,13 @@ RuleGenerationReport RuleGenerator::account(
   return report;
 }
 
-RuleGenerationReport RuleGenerator::install(
+void RuleGenerator::install(
     const PlacementInput& input,
     const std::vector<std::vector<dataplane::SubclassPlan>>& subclasses,
-    const InstanceInventory& inventory, dataplane::DataPlane& dp,
-    const net::AllPairsPaths* routing) const {
-  const RuleGenerationReport report = account(input, subclasses, routing);
+    const InstanceInventory& inventory, dataplane::DataPlane& dp) const {
+  if (subclasses.size() != input.classes.size()) {
+    throw std::invalid_argument("subclass plans/classes size mismatch");
+  }
   for (net::NodeId v = 0; v < input.topology->num_nodes(); ++v) {
     for (std::size_t n = 0; n < vnf::kNumNfTypes; ++n) {
       const vnf::NfType type = static_cast<vnf::NfType>(n);
@@ -68,11 +69,6 @@ RuleGenerationReport RuleGenerator::install(
   for (std::size_t h = 0; h < input.classes.size(); ++h) {
     dp.install_class(input.classes[h], subclasses[h]);
   }
-  APPLE_OBS_COUNT_N("core.rules.tcam_entries_installed",
-                    report.tcam_with_tagging);
-  APPLE_OBS_COUNT_N("core.rules.vswitch_rules_installed",
-                    report.vswitch_rules);
-  return report;
 }
 
 }  // namespace apple::core

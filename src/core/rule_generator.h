@@ -35,18 +35,19 @@ class RuleGenerator {
   explicit RuleGenerator(bool pipelined_switches = true)
       : pipelined_(pipelined_switches) {}
 
-  // Installs every class (with its sub-class plans) into `dp`, registers
-  // the inventory's instances, and returns the TCAM/vSwitch accounting.
-  RuleGenerationReport install(
+  // Installs every class (with its sub-class plans) into `dp` and
+  // registers the inventory's instances. Throws std::invalid_argument when
+  // `subclasses` does not hold one entry per class. The TCAM/vSwitch
+  // report is `account`'s (an Epoch already carries it in Epoch::rules).
+  void install(
       const PlacementInput& input,
       const std::vector<std::vector<dataplane::SubclassPlan>>& subclasses,
-      const InstanceInventory& inventory, dataplane::DataPlane& dp,
-      const net::AllPairsPaths* routing = nullptr) const;
+      const InstanceInventory& inventory, dataplane::DataPlane& dp) const;
 
-  // Accounting only (used by Fig. 10's sweep where no walkable data plane
-  // is needed). When `routing` is given, the no-tagging baseline is charged
-  // on the full equal-cost multipath union of each class (data-center
-  // topologies); otherwise on the class's single installed path.
+  // The TCAM/vSwitch accounting of a set of sub-class plans. When
+  // `routing` is given, the no-tagging baseline is charged on the full
+  // equal-cost multipath union of each class (data-center topologies);
+  // otherwise on the class's single installed path.
   RuleGenerationReport account(
       const PlacementInput& input,
       const std::vector<std::vector<dataplane::SubclassPlan>>& subclasses,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/check.h"
 
@@ -45,17 +46,38 @@ bool BasisLu::factorize(const SparseMatrix& matrix,
   std::vector<std::int32_t> touched;
   touched.reserve(m);
   std::vector<char> active(m, 1);
+  // Min-heap of the earlier steps whose pivot row column k has written;
+  // queued_for[t] == k keeps step t in it at most once per column.
+  std::vector<std::int32_t> reach;
+  std::vector<std::int32_t> queued_for(m, -1);
   for (std::size_t k = 0; k < m; ++k) {
     const auto pos = static_cast<std::size_t>(col_order_[k]);
+    const auto kk = static_cast<std::int32_t>(k);
+    const auto enqueue = [&](std::size_t row) {
+      const std::int32_t t = row_to_step_[row];
+      if (t < 0 || queued_for[static_cast<std::size_t>(t)] == kk) return;
+      queued_for[static_cast<std::size_t>(t)] = kk;
+      reach.push_back(t);
+      std::push_heap(reach.begin(), reach.end(), std::greater<>());
+    };
     // Scatter the basis column, then eliminate with the factored prefix.
     touched.clear();
     for (const auto& e : matrix.column(
              static_cast<std::size_t>(basic[pos]))) {
       x[static_cast<std::size_t>(e.row)] = e.value;
       touched.push_back(e.row);
+      enqueue(static_cast<std::size_t>(e.row));
     }
+    // Apply the reached steps in ascending order. L column t only holds
+    // rows still active at step t, so every step it queues is > t: every
+    // step t < k whose pivot row is nonzero when its turn comes is popped,
+    // in step order, and each row's updates land in the same order as
+    // eliminating with every earlier step in turn.
     std::vector<SparseMatrix::Entry>& ucol = u_cols_[k];
-    for (std::size_t t = 0; t < k; ++t) {
+    while (!reach.empty()) {
+      std::pop_heap(reach.begin(), reach.end(), std::greater<>());
+      const auto t = static_cast<std::size_t>(reach.back());
+      reach.pop_back();
       const auto pr = static_cast<std::size_t>(pivot_row_[t]);
       const double xt = x[pr];
       if (xt == 0.0) continue;
@@ -64,6 +86,7 @@ bool BasisLu::factorize(const SparseMatrix& matrix,
         const auto r = static_cast<std::size_t>(e.row);
         if (x[r] == 0.0) touched.push_back(e.row);
         x[r] -= xt * e.value;
+        enqueue(r);
       }
       x[pr] = 0.0;
     }

@@ -13,13 +13,22 @@
 // a static fill-heuristic order — ascending column nonzero count, the
 // column half of a Markowitz count) and the pivot row is chosen by partial
 // pivoting (max |value|, smallest row index on ties — deterministic).
+// The solve visits only the elimination steps the column reaches — those
+// whose pivot row its scatter or an earlier L column wrote — in ascending
+// step order through a min-heap. A factorization therefore costs
+// O(m log m) plus O(log m) per multiply-add it performs, not the O(m^2)
+// of scanning every earlier step for every column. The visit order is the
+// full ascending scan minus the steps it would skip (pivot row exactly 0),
+// so the factors are bit-identical to eliminating with every earlier step.
 // A pivot below `singular_tol` reports the basis singular instead of
 // dividing through, so a degenerate basis can never seed NaN.
 //
-// After a simplex pivot, `update()` appends one eta vector (O(nnz(w)))
-// instead of refactorizing (O(m^2 + fill)). The caller refactorizes every
-// SimplexOptions::refactor_interval pivots, or immediately when update()
-// rejects an unstable pivot element — the standard eta-file policy.
+// After a simplex pivot, `update()` appends one eta vector (one O(m) pass
+// over w, storing its nnz(w) off-pivot entries) instead of refactorizing.
+// FTRAN and BTRAN cost O(m + nnz(L) + nnz(U) + eta nonzeros) each. The
+// caller refactorizes every SimplexOptions::refactor_interval pivots, or
+// immediately when update() rejects an unstable pivot element — the
+// standard eta-file policy.
 #pragma once
 
 #include <cstddef>

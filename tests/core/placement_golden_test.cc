@@ -1,17 +1,22 @@
-// Golden-output pin for the greedy and lp-round placement paths and the
-// sub-class assigner. Each case hashes (FNV-1a, 64-bit):
+// Golden-output pin for the greedy and lp-round placement paths, the
+// sub-class assigner and the LP relaxation. Each placement case hashes
+// (FNV-1a, 64-bit):
 //
 //   * instance_count, switch-major;
 //   * the bit pattern of every d^i_{h,j}, in (class, position, stage) order;
 //   * every sub-class of assign_subclasses over a materialized inventory:
 //     class id, sub-class id, weight bits, classifier rules, itinerary.
 //
+// Each relaxation case hashes the bit pattern of every x_v, the objective's
+// bits and the pivot count of one SimplexSolver solve of the Sec. IV-D LP.
+//
 // Any reordering of floating-point operations in the water-fill, the
-// consolidation search or the decomposition changes a bit somewhere and
-// fails the test, so a rewrite of those paths must reproduce these plans
-// exactly. The constants pin x86-64 IEEE doubles and libstdc++'s std::sort
-// (the most-constrained-first order breaks ties by sort position); another
-// platform or standard library may legitimately produce other plans.
+// consolidation search, the decomposition or the simplex's basis
+// factorization changes a bit somewhere and fails the test, so a rewrite of
+// those paths must reproduce these plans exactly. The constants pin x86-64
+// IEEE doubles and libstdc++'s std::sort (the most-constrained-first order
+// breaks ties by sort position); another platform or standard library may
+// legitimately produce other plans.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,8 +24,10 @@
 #include <vector>
 
 #include "core/epoch_pipeline.h"
+#include "core/ilp_builder.h"
 #include "core/optimization_engine.h"
 #include "core/subclass_assigner.h"
+#include "lp/simplex.h"
 #include "net/routing.h"
 #include "net/topologies.h"
 #include "traffic/class_store.h"
@@ -100,20 +107,51 @@ PlacementPlan place_checked(PlacementStrategy strategy,
 }
 
 // A backbone epoch: default chains on every OD pair of a gravity matrix.
+struct Backbone {
+  const net::Topology* topo = nullptr;
+  std::vector<vnf::PolicyChain> chains;
+  std::vector<traffic::TrafficClass> classes;
+
+  PlacementInput input() const { return {topo, classes, chains}; }
+};
+
+Backbone make_backbone(const net::Topology& topo, double total_mbps) {
+  const net::AllPairsPaths routing(topo);
+  Backbone b;
+  b.topo = &topo;
+  b.chains.assign(vnf::default_policy_chains().begin(),
+                  vnf::default_policy_chains().end());
+  const traffic::TrafficMatrix tm = traffic::make_gravity_matrix(
+      topo.num_nodes(), {.total_mbps = total_mbps, .seed = 3});
+  b.classes = traffic::build_classes(
+      topo, routing, tm, traffic::uniform_chain_assignment(b.chains.size()));
+  return b;
+}
+
 std::uint64_t backbone_hash(const net::Topology& topo,
                             PlacementStrategy strategy, double total_mbps,
                             std::uint64_t* instances) {
-  const net::AllPairsPaths routing(topo);
-  const std::vector<vnf::PolicyChain> chains(
-      vnf::default_policy_chains().begin(), vnf::default_policy_chains().end());
-  const traffic::TrafficMatrix tm = traffic::make_gravity_matrix(
-      topo.num_nodes(), {.total_mbps = total_mbps, .seed = 3});
-  const std::vector<traffic::TrafficClass> classes = traffic::build_classes(
-      topo, routing, tm, traffic::uniform_chain_assignment(chains.size()));
-  const PlacementInput input{&topo, classes, chains};
+  const Backbone b = make_backbone(topo, total_mbps);
+  const PlacementInput input = b.input();
   const PlacementPlan plan = place_checked(strategy, input);
   *instances = plan.total_instances();
   return plan_hash(input, plan);
+}
+
+// One revised-simplex solve of the backbone epoch's LP relaxation.
+std::uint64_t relaxation_hash(const net::Topology& topo,
+                              std::size_t* iterations) {
+  const Backbone b = make_backbone(topo, 12000.0);
+  const IlpBuilder builder(b.input(), /*integral_q=*/false);
+  const lp::LpSolution sol = lp::SimplexSolver().solve(builder.model());
+  EXPECT_TRUE(sol.optimal());
+  EXPECT_EQ(sol.x.size(), builder.model().num_vars());
+  Fnv1a fp;
+  for (const double v : sol.x) fp.add_double(v);
+  fp.add_double(sol.objective);
+  fp.add(sol.iterations);
+  *iterations = sol.iterations;
+  return fp.value();
 }
 
 TEST(PlacementGolden, GreedyInternet2) {
@@ -138,6 +176,28 @@ TEST(PlacementGolden, LpRoundGeant) {
       net::make_geant(), PlacementStrategy::kLpRound, 12000.0, &instances);
   EXPECT_EQ(instances, 78u);
   EXPECT_EQ(hash, 0x5810674ce67a0b6bULL);
+}
+
+TEST(PlacementGolden, RelaxationInternet2) {
+  std::size_t iterations = 0;
+  const std::uint64_t hash =
+      relaxation_hash(net::make_internet2(), &iterations);
+  EXPECT_EQ(iterations, 405u);
+  EXPECT_EQ(hash, 0xea423d867d24a09aULL);
+}
+
+TEST(PlacementGolden, RelaxationGeant) {
+  std::size_t iterations = 0;
+  const std::uint64_t hash = relaxation_hash(net::make_geant(), &iterations);
+  EXPECT_EQ(iterations, 1435u);
+  EXPECT_EQ(hash, 0xe69057b4ec0a9474ULL);
+}
+
+TEST(PlacementGolden, RelaxationUniv1) {
+  std::size_t iterations = 0;
+  const std::uint64_t hash = relaxation_hash(net::make_univ1(), &iterations);
+  EXPECT_EQ(iterations, 1435u);
+  EXPECT_EQ(hash, 0x44df97bb50243534ULL);
 }
 
 // The 100k-class control-loop inputs: AS-3679 with 128-core hosts, 32

@@ -55,8 +55,9 @@ TEST(RuleGenerator, InstallsWalkableDataPlane) {
   Pipeline p(topo, {{NfType::kFirewall, NfType::kIds}}, classes);
 
   dataplane::DataPlane dp(topo);
+  RuleGenerator().install(p.input, p.subclasses, p.inventory, dp);
   const RuleGenerationReport report =
-      RuleGenerator().install(p.input, p.subclasses, p.inventory, dp);
+      RuleGenerator().account(p.input, p.subclasses);
   EXPECT_GT(report.tcam_with_tagging, 0u);
   EXPECT_GT(report.vswitch_rules, 0u);
 
@@ -89,6 +90,9 @@ TEST(RuleGenerator, AccountRejectsMismatchedSizes) {
   auto wrong = p.subclasses;
   wrong.emplace_back();
   EXPECT_THROW(RuleGenerator().account(p.input, wrong),
+               std::invalid_argument);
+  dataplane::DataPlane dp(topo);
+  EXPECT_THROW(RuleGenerator().install(p.input, wrong, p.inventory, dp),
                std::invalid_argument);
 }
 

@@ -211,13 +211,11 @@ EpochArtifacts run_geant_epoch() {
   input.classes = epoch.classes;
   input.chains = controller.chains();
   dataplane::DataPlane dp(topo);
-  const core::RuleGenerationReport report =
-      core::RuleGenerator().install(input, epoch.subclasses, epoch.inventory,
-                                    dp);
+  core::RuleGenerator().install(input, epoch.subclasses, epoch.inventory, dp);
 
   EpochArtifacts artifacts;
   artifacts.plan = serialize_epoch(epoch);
-  artifacts.rule_table = serialize_rule_table(dp, report);
+  artifacts.rule_table = serialize_rule_table(dp, epoch.rules);
   artifacts.metrics = registry.snapshot_json();
 
   // Leave the process-wide registry as other tests expect to find it.

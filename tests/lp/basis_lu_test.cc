@@ -167,6 +167,104 @@ TEST(BasisLu, EtaUpdatesMatchFreshFactorization) {
   }
 }
 
+// CSC matrix from explicit columns.
+SparseMatrix from_columns(
+    std::size_t m, const std::vector<std::vector<SparseMatrix::Entry>>& cols) {
+  std::vector<std::int32_t> col_start{0};
+  std::vector<SparseMatrix::Entry> entries;
+  for (const auto& col : cols) {
+    entries.insert(entries.end(), col.begin(), col.end());
+    col_start.push_back(static_cast<std::int32_t>(entries.size()));
+  }
+  return SparseMatrix(m, cols.size(), std::move(col_start),
+                      std::move(entries));
+}
+
+// FTRAN and BTRAN of every unit vector (the whole inverse and its
+// transpose) against the dense reference on basis `basic` of `matrix`.
+void expect_inverse_matches_dense(const BasisLu& lu, const SparseMatrix& matrix,
+                                  const std::vector<std::int32_t>& basic) {
+  const std::size_t m = basic.size();
+  const auto dense = dense_basis(matrix, basic);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<double> unit(m, 0.0);
+    unit[i] = 1.0;
+    std::vector<double> w = unit;
+    lu.ftran(w);
+    const std::vector<double> w_ref = dense_solve(dense, unit, false);
+    std::vector<double> y = unit;
+    lu.btran(y);
+    const std::vector<double> y_ref = dense_solve(dense, unit, true);
+    for (std::size_t r = 0; r < m; ++r) {
+      EXPECT_NEAR(w[r], w_ref[r], 1e-12) << "ftran e" << i << " row " << r;
+      EXPECT_NEAR(y[r], y_ref[r], 1e-12) << "btran e" << i << " row " << r;
+    }
+  }
+}
+
+// Pivots column `enter` into basis position `pos` through the eta file and
+// re-checks the inverse against the dense reference.
+void update_and_check(BasisLu& lu, const SparseMatrix& matrix,
+                      std::vector<std::int32_t>& basic, std::int32_t enter,
+                      std::size_t pos) {
+  std::vector<double> w(basic.size(), 0.0);
+  for (const auto& e : matrix.column(static_cast<std::size_t>(enter))) {
+    w[static_cast<std::size_t>(e.row)] = e.value;
+  }
+  lu.ftran(w);
+  ASSERT_GT(std::abs(w[pos]), 0.1);
+  ASSERT_TRUE(lu.update(w, pos));
+  basic[pos] = enter;
+  EXPECT_EQ(lu.eta_count(), 1u);
+  expect_inverse_matches_dense(lu, matrix, basic);
+}
+
+TEST(BasisLu, FillCascadesToStepsOutsideTheColumnPattern) {
+  // Equal nonzero counts keep the factor order = basis position, so step k
+  // factors column k. Steps 0-3 pivot on rows 0, 3, 2, 1. Column 4 holds
+  // only step 0's pivot row among the pivoted rows; elimination still
+  // reaches steps 1-3: L column 0 writes rows 2 and 3 (steps 2 and 1 — the
+  // later step queued first), L column 1 writes row 2 (step 2, so step 1
+  // must run before it) and row 1 (step 3), L column 2 writes row 1 again.
+  const SparseMatrix matrix = from_columns(
+      6, {{{0, 4.0}, {2, 1.0}, {3, 1.0}},
+          {{1, 0.5}, {2, 1.0}, {3, 4.0}},
+          {{1, 1.0}, {2, 4.0}, {5, 0.5}},
+          {{1, 4.0}, {4, 1.0}, {5, 1.0}},
+          {{0, 1.0}, {4, 2.0}, {5, 0.0625}},
+          {{3, 0.5}, {4, 1.0}, {5, 4.0}},
+          // Entering column for the eta update.
+          {{0, 1.0}, {3, 2.0}, {4, 1.0}, {5, 1.0}}});
+  std::vector<std::int32_t> basic{0, 1, 2, 3, 4, 5};
+  BasisLu lu;
+  ASSERT_TRUE(lu.factorize(matrix, basic));
+  // L: 2 + 2 + 2 + 2 + 1 + 0, U: 4 + 4 off-diagonal, plus 6 diagonals.
+  EXPECT_EQ(lu.fill_nnz(), 23u);
+  expect_inverse_matches_dense(lu, matrix, basic);
+  update_and_check(lu, matrix, basic, 6, 4);
+}
+
+TEST(BasisLu, PivotRowCancellingToZeroIsSkipped) {
+  // Column 2 scatters 0.25 into row 1 (step 1's pivot row); step 0 then
+  // subtracts exactly 1.0 * 0.25 from it. Step 1 is reached but its pivot
+  // value is 0.0, so it contributes no U entry and its L column (row 3)
+  // is never applied. All values are dyadic, so the cancellation is exact.
+  const SparseMatrix matrix = from_columns(
+      4, {{{0, 4.0}, {1, 1.0}},
+          {{1, 4.0}, {3, 1.0}},
+          {{0, 1.0}, {1, 0.25}, {2, 2.0}},
+          {{1, 0.5}, {2, 1.0}, {3, 4.0}},
+          // Entering column for the eta update.
+          {{0, 2.0}, {2, 1.0}, {3, 0.5}}});
+  std::vector<std::int32_t> basic{0, 1, 2, 3};
+  BasisLu lu;
+  ASSERT_TRUE(lu.factorize(matrix, basic));
+  // L: 1 + 1 + 0 + 0, U: 0 + 0 + 1 (step 0 only) + 2, plus 4 diagonals.
+  EXPECT_EQ(lu.fill_nnz(), 9u);
+  expect_inverse_matches_dense(lu, matrix, basic);
+  update_and_check(lu, matrix, basic, 4, 2);
+}
+
 TEST(BasisLu, SingularBasisReportsFailureNotNaN) {
   // Two identical columns: rank m-1.
   std::vector<std::int32_t> col_start{0, 2, 4, 5};
