@@ -13,10 +13,11 @@
 // Matrix: {Internet2, GEANT} x seeds {1, 2, 3} x scenarios {crash, node,
 // flap, chaos}; each cell runs twice for the determinism check. Reported
 // per cell: faults injected/repaired, detect/repair p50-p99, blackholed
-// traffic, probes walked. The pooled repair-latency distribution is
-// exported (with every fault.* counter) to BENCH_fault_recovery.json;
-// bench-perf gates the deterministic counters against
-// bench/baselines/BENCH_fault_recovery.baseline.json.
+// traffic and whether the rerun reproduced it. The pooled repair-latency
+// distribution is exported (with every fault.* counter, among them the
+// probes verified at every poll and the sweeps actually walked) to
+// BENCH_fault_recovery.json; bench-perf gates the deterministic counters
+// against bench/baselines/BENCH_fault_recovery.baseline.json.
 //
 // Exit status: 0 only when every cell repaired every fault, saw zero
 // policy violations, and reproduced itself bit-for-bit.

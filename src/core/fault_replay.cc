@@ -1,6 +1,7 @@
 #include "core/fault_replay.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -157,7 +158,12 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
 
   // Policy probes: fixed headers per class; the expected chain is the
   // class's policy, and a delivered probe must have traversed exactly it.
+  // The vector never changes after this, so the data plane's version fixes
+  // the outcome of every walk: a poll walks the probes only when
+  // dp.version() moved since the last walked sweep, and otherwise counts
+  // that sweep again.
   std::vector<fault::PolicyProbe> probes;
+  std::optional<std::uint64_t> swept_version;
   for (const traffic::TrafficClass& cls : epoch.classes) {
     for (std::size_t p = 0; p < options.probes_per_class; ++p) {
       fault::PolicyProbe probe;
@@ -509,7 +515,13 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
     process_node_jobs(now);
     process_repl_jobs(now);
     process_canaries(now);
-    monitor.verify_policies(dp, probes);
+    if (swept_version == dp.version()) {
+      monitor.repeat_last_sweep(probes);
+    } else {
+      monitor.verify_policies(dp, probes);
+      swept_version = dp.version();
+      APPLE_OBS_COUNT("fault.replay.sweeps_walked");
+    }
   };
 
   // --- main loop: snapshot series, then a drain window ---------------------

@@ -44,7 +44,8 @@
 namespace apple::core {
 
 struct FaultReplayOptions {
-  // Probes walked per class at every poll for policy verification.
+  // Probes per class verified at every poll for policy verification,
+  // walked again only after the data plane changed.
   std::size_t probes_per_class = 2;
   // Extra simulated seconds after the series to let in-flight repairs
   // (30 s full-VM boots, late link-up events) land.

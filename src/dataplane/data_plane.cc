@@ -11,10 +11,12 @@ namespace apple::dataplane {
 
 void DataPlane::register_instance(const vnf::VnfInstance& instance) {
   instances_[instance.id] = instance;
+  ++version_;
 }
 
 void DataPlane::unregister_instance(vnf::InstanceId id) {
   if (instances_.erase(id) > 0) {
+    ++version_;
     APPLE_OBS_COUNT("dataplane.pipeline.instances_unregistered");
   }
 }
@@ -75,6 +77,7 @@ void DataPlane::install_class(const traffic::TrafficClass& cls,
   APPLE_OBS_COUNT("dataplane.pipeline.classes_installed");
   APPLE_OBS_EVENT_N("dataplane.rules.install", cls.id);
   classes_[cls.id] = InstalledClass{cls, std::move(plans)};
+  ++version_;
 }
 
 void DataPlane::update_class(traffic::ClassId class_id,
@@ -92,10 +95,12 @@ void DataPlane::update_class(traffic::ClassId class_id,
   }
   APPLE_OBS_EVENT_N("dataplane.rules.update", class_id);
   it->second.plans = std::move(plans);
+  ++version_;
 }
 
 bool DataPlane::remove_class(traffic::ClassId class_id) {
   if (classes_.erase(class_id) == 0) return false;
+  ++version_;
   APPLE_OBS_COUNT("dataplane.pipeline.classes_removed");
   APPLE_OBS_EVENT_N("dataplane.rules.remove", class_id);
   return true;

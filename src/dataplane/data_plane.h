@@ -9,6 +9,7 @@
 // freedom.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <stdexcept>
@@ -87,6 +88,14 @@ class DataPlane {
   std::size_t num_classes() const { return classes_.size(); }
   std::size_t num_instances() const { return instances_.size(); }
 
+  // Structural version: moves on every call that changes what walk() and
+  // traversed_types() read (an instance registered or dropped, a class
+  // installed, updated or removed) and on nothing else — a rejected call,
+  // the fault hook and walks leave it alone. Equal versions of one object
+  // therefore walk every probe to the same result. Per-object and not part
+  // of any equality or fingerprint.
+  std::uint64_t version() const { return version_; }
+
   // Sub-class selection at the ingress switch: consistent hash of the flow
   // onto the cumulative weight ranges (Sec. V-A).
   const SubclassPlan& subclass_for(traffic::ClassId class_id,
@@ -120,6 +129,7 @@ class DataPlane {
   std::unordered_map<traffic::ClassId, InstalledClass> classes_;
   std::unordered_map<vnf::InstanceId, vnf::VnfInstance> instances_;
   RuleFaultHook rule_fault_hook_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace apple::dataplane

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <numeric>
 
+#include "common/check.h"
 #include "obs/obs.h"
 
 namespace apple::fault {
@@ -76,26 +77,48 @@ void RecoveryMonitor::account_unattributed(double mbit) {
 
 std::size_t RecoveryMonitor::verify_policies(
     const dataplane::DataPlane& dp, std::span<const PolicyProbe> probes) {
-  std::size_t violations = 0;
+  Sweep sweep;
+  sweep.probes = probes.data();
+  sweep.size = probes.size();
   for (const PolicyProbe& probe : probes) {
-    ++policy_probes_;
-    APPLE_OBS_COUNT("fault.policy_probes");
     const dataplane::DataPlane::WalkResult result =
         dp.walk(probe.class_id, probe.header);
     if (!result.delivered) {
       // Dropped mid-chain: availability loss, not a correctness loss.
-      ++blackholed_probes_;
-      APPLE_OBS_COUNT("fault.blackholed_probes");
+      ++sweep.blackholed;
       continue;
     }
     if (dp.traversed_types(result.packet) != probe.expected_chain) {
-      ++violations;
-      ++policy_violations_;
-      APPLE_OBS_COUNT("fault.policy_violations");
-      APPLE_OBS_EVENT_N("fault.policy_violation", probe.class_id);
+      sweep.violating.push_back(probe.class_id);
     }
   }
-  return violations;
+  last_sweep_ = std::move(sweep);
+  return count(*last_sweep_);
+}
+
+std::size_t RecoveryMonitor::repeat_last_sweep(
+    std::span<const PolicyProbe> probes) {
+  if (!last_sweep_) return 0;
+  APPLE_DCHECK(probes.data() == last_sweep_->probes &&
+               probes.size() == last_sweep_->size);
+  return count(*last_sweep_);
+}
+
+std::size_t RecoveryMonitor::count(const Sweep& sweep) {
+  policy_probes_ += sweep.size;
+  blackholed_probes_ += sweep.blackholed;
+  policy_violations_ += sweep.violating.size();
+  if (sweep.size > 0) APPLE_OBS_COUNT_N("fault.policy_probes", sweep.size);
+  if (sweep.blackholed > 0) {
+    APPLE_OBS_COUNT_N("fault.blackholed_probes", sweep.blackholed);
+  }
+  if (!sweep.violating.empty()) {
+    APPLE_OBS_COUNT_N("fault.policy_violations", sweep.violating.size());
+  }
+  for (const traffic::ClassId id : sweep.violating) {
+    APPLE_OBS_EVENT_N("fault.policy_violation", id);
+  }
+  return sweep.violating.size();
 }
 
 bool RecoveryMonitor::all_repaired() const {

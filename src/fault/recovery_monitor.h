@@ -62,6 +62,8 @@ struct RecoveryReport {
   LatencyStats repair_latency;  // over repaired faults
   double traffic_lost_mbit = 0.0;        // attributed to some fault
   double unattributed_lost_mbit = 0.0;   // blackholed, owner unknown
+  // Probes verified, summed over every sweep: walked (verify_policies) or
+  // counted again over an unchanged data plane (repeat_last_sweep).
   std::size_t policy_probes = 0;
   std::size_t policy_violations = 0;
   std::size_t blackholed_probes = 0;  // probes dropped mid-chain (allowed)
@@ -105,6 +107,14 @@ class RecoveryMonitor {
   // repair window. Returns violations found in this call.
   std::size_t verify_policies(const dataplane::DataPlane& dp,
                               std::span<const PolicyProbe> probes);
+  // Verifies the last verify_policies sweep's probes again without walking
+  // them: for a caller that knows the data plane has not changed since
+  // (DataPlane::version()), so every walk would repeat its outcome.
+  // `probes` must be that sweep's span (same data() and size()). Adds the
+  // same probe / blackholed / violation totals, counters and violation
+  // events as the sweep did and returns its violation count; before any
+  // sweep it counts nothing and returns 0.
+  std::size_t repeat_last_sweep(std::span<const PolicyProbe> probes);
 
   // --- queries -------------------------------------------------------------
   bool all_repaired() const;
@@ -116,11 +126,24 @@ class RecoveryMonitor {
   RecoveryReport report() const;
 
  private:
+  // Outcome of one verify_policies sweep.
+  struct Sweep {
+    const PolicyProbe* probes = nullptr;  // the span's identity, never read
+    std::size_t size = 0;
+    std::size_t blackholed = 0;
+    std::vector<traffic::ClassId> violating;  // in probe order
+  };
+
+  // Adds `sweep`'s outcome to the totals, counters and events; returns its
+  // violation count.
+  std::size_t count(const Sweep& sweep);
+
   std::map<FaultId, FaultRecord> records_;
   double unattributed_lost_mbit_ = 0.0;
   std::size_t policy_probes_ = 0;
   std::size_t policy_violations_ = 0;
   std::size_t blackholed_probes_ = 0;
+  std::optional<Sweep> last_sweep_;
 };
 
 }  // namespace apple::fault

@@ -17,10 +17,12 @@ FlowSimulation::FlowSimulation(double tick_seconds)
 void FlowSimulation::add_instance(const vnf::VnfInstance& instance,
                                   double ready_at) {
   instances_[instance.id] = InstanceState{instance, ready_at, 0.0};
+  resolved_ = false;
 }
 
 void FlowSimulation::remove_instance(vnf::InstanceId id) {
   instances_.erase(id);
+  resolved_ = false;
 }
 
 bool FlowSimulation::has_instance(vnf::InstanceId id) const {
@@ -82,6 +84,7 @@ void FlowSimulation::install_class_plans(
     throw std::invalid_argument("sub-class weights must sum to 1");
   }
   classes_[id].plans = std::move(plans);
+  resolved_ = false;
 }
 
 const std::vector<dataplane::SubclassPlan>& FlowSimulation::plans_of(
@@ -89,20 +92,48 @@ const std::vector<dataplane::SubclassPlan>& FlowSimulation::plans_of(
   return classes_.at(id).plans;
 }
 
+void FlowSimulation::resolve_slots() {
+  for (auto& [cid, cls] : classes_) {
+    cls.slots.clear();
+    cls.slot_begin.clear();
+    for (const dataplane::SubclassPlan& plan : cls.plans) {
+      cls.slot_begin.push_back(cls.slots.size());
+      for (const dataplane::HostVisit& visit : plan.itinerary) {
+        for (const vnf::InstanceId inst : visit.instances) {
+          const auto it = instances_.find(inst);
+          cls.slots.push_back(it == instances_.end() ? nullptr : &it->second);
+        }
+      }
+    }
+    cls.slot_begin.push_back(cls.slots.size());
+  }
+  resolved_ = true;
+  APPLE_OBS_COUNT("sim.flow.slot_resolves");
+}
+
 TickStats FlowSimulation::step() {
+  if (!resolved_) resolve_slots();
+  // A plan still referencing a removed instance fails the tick here, where
+  // a lookup of the missing id would.
+  const auto serving = [](InstanceState* slot) -> InstanceState& {
+    if (slot == nullptr) {
+      throw std::out_of_range("sub-class plan references a removed instance");
+    }
+    return *slot;
+  };
+
   // Phase 1: accumulate offered load at every instance.
   for (auto& [id, state] : instances_) state.offered = 0.0;
   for (const auto& [cid, cls] : classes_) {
     // A severed class's traffic dies at the failed link before reaching
     // any instance, so it loads nothing.
     if (cls.severed) continue;
-    for (const dataplane::SubclassPlan& plan : cls.plans) {
-      const double rate = cls.rate_mbps * plan.weight;
+    for (std::size_t p = 0; p < cls.plans.size(); ++p) {
+      const double rate = cls.rate_mbps * cls.plans[p].weight;
       if (rate <= 0.0) continue;
-      for (const dataplane::HostVisit& visit : plan.itinerary) {
-        for (const vnf::InstanceId inst : visit.instances) {
-          instances_.at(inst).offered += rate;
-        }
+      for (std::size_t k = cls.slot_begin[p]; k < cls.slot_begin[p + 1];
+           ++k) {
+        serving(cls.slots[k]).offered += rate;
       }
     }
   }
@@ -112,8 +143,8 @@ TickStats FlowSimulation::step() {
   stats.time = now_;
   for (auto& [cid, cls] : classes_) {
     cls.blackholed = 0.0;
-    for (const dataplane::SubclassPlan& plan : cls.plans) {
-      const double rate = cls.rate_mbps * plan.weight;
+    for (std::size_t p = 0; p < cls.plans.size(); ++p) {
+      const double rate = cls.rate_mbps * cls.plans[p].weight;
       if (rate <= 0.0) continue;
       stats.offered_mbps += rate;
       if (cls.severed) {
@@ -124,15 +155,14 @@ TickStats FlowSimulation::step() {
       }
       double survival = 1.0;
       bool dead_stage = false;
-      for (const dataplane::HostVisit& visit : plan.itinerary) {
-        for (const vnf::InstanceId inst : visit.instances) {
-          const InstanceState& state = instances_.at(inst);
-          const double capacity = state.alive && state.ready_at <= now_
-                                      ? state.instance.capacity_mbps
-                                      : 0.0;
-          if (!state.alive) dead_stage = true;
-          survival *= 1.0 - vnf::loss_fraction(state.offered, capacity);
-        }
+      for (std::size_t k = cls.slot_begin[p]; k < cls.slot_begin[p + 1];
+           ++k) {
+        const InstanceState& state = serving(cls.slots[k]);
+        const double capacity = state.alive && state.ready_at <= now_
+                                    ? state.instance.capacity_mbps
+                                    : 0.0;
+        if (!state.alive) dead_stage = true;
+        survival *= 1.0 - vnf::loss_fraction(state.offered, capacity);
       }
       if (dead_stage) cls.blackholed += rate;
       stats.delivered_mbps += rate * survival;
@@ -145,7 +175,6 @@ TickStats FlowSimulation::step() {
   // Clamp tiny negatives from floating-point noise.
   stats.loss_rate = std::max(0.0, stats.loss_rate);
 
-  history_.push_back(stats);
   now_ += tick_seconds_;
   APPLE_OBS_COUNT("sim.flow.ticks");
   // Rate-weighted loss accounting in whole Mbps; the snapshot divides the

@@ -13,6 +13,11 @@
 // without upstream attenuation (packets are received, then dropped), so a
 // cascade of overloads slightly over-counts loss. The delivered fraction of
 // a sub-class is the product of survival across its instances.
+//
+// The tick reads each plan's instances through slots resolved once per
+// structural change (an instance added or removed, plans installed), not
+// through a map lookup per visit; rates, liveness and boot times are read
+// through the slots, so changing them needs no re-resolution.
 #pragma once
 
 #include <map>
@@ -38,6 +43,10 @@ struct TickStats {
 class FlowSimulation {
  public:
   explicit FlowSimulation(double tick_seconds = 0.01);
+  // The tick's slots point into this object's own instance table, so a
+  // copy would read the original's instances.
+  FlowSimulation(const FlowSimulation&) = delete;
+  FlowSimulation& operator=(const FlowSimulation&) = delete;
 
   double tick_seconds() const { return tick_seconds_; }
   double now() const { return now_; }
@@ -78,12 +87,12 @@ class FlowSimulation {
       traffic::ClassId id) const;
 
   // --- execution ----------------------------------------------------------
-  // Advances one tick and returns its stats (also appended to history()).
+  // Advances one tick and returns its stats. Throws std::out_of_range when
+  // a plan carrying traffic on an unsevered class references an instance
+  // that was removed since the plans were installed.
   TickStats step();
   // Advances until `horizon` (exclusive of a final partial tick).
   void run_until(double horizon);
-
-  const std::vector<TickStats>& history() const { return history_; }
 
   // Offered load at an instance during the last executed tick, in Mbps —
   // what the per-port packet counters of the vSwitch expose (Sec. VII-B).
@@ -103,7 +112,16 @@ class FlowSimulation {
     std::vector<dataplane::SubclassPlan> plans;
     bool severed = false;       // forwarding path crosses a failed link
     double blackholed = 0.0;    // last tick, Mbps
+    // Every plan's itinerary instances in itinerary order, resolved by
+    // resolve_slots() (nullptr: no such instance). Plan p's run is
+    // slots[slot_begin[p], slot_begin[p + 1]).
+    std::vector<InstanceState*> slots;
+    std::vector<std::size_t> slot_begin;
   };
+
+  // Points every class's slots at the current instances_ nodes (map nodes
+  // never move, so the pointers hold until an instance is removed).
+  void resolve_slots();
 
   double tick_seconds_;
   double now_ = 0.0;
@@ -112,7 +130,9 @@ class FlowSimulation {
   // byte-identical replay contract (apple_analyze unordered-iter).
   std::map<vnf::InstanceId, InstanceState> instances_;
   std::map<traffic::ClassId, ClassState> classes_;
-  std::vector<TickStats> history_;
+  // False after add_instance, remove_instance or install_class_plans; the
+  // next step() re-resolves every class's slots.
+  bool resolved_ = false;
 };
 
 }  // namespace apple::sim

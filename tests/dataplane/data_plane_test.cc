@@ -289,6 +289,70 @@ TEST_F(DataPlaneTest, RuleFaultHookFailsInstallsWithoutLeavingState) {
   EXPECT_EQ(dp_.plans_of(5)[0].itinerary[0].at_switch, 2u);
 }
 
+TEST_F(DataPlaneTest, VersionMovesOnEveryChangeAWalkCanSee) {
+  SubclassPlan plan;
+  plan.class_id = 0;
+  plan.subclass_id = 0;
+  plan.weight = 1.0;
+  plan.itinerary = {{1, {1}}};
+  std::uint64_t v = dp_.version();
+
+  dp_.register_instance({/*id=*/4, NfType::kNat, /*host=*/1, 900.0});
+  EXPECT_GT(dp_.version(), v);
+  v = dp_.version();
+  // Re-registering an id retypes it: walks read the new type.
+  dp_.register_instance({/*id=*/4, NfType::kProxy, /*host=*/1, 900.0});
+  EXPECT_GT(dp_.version(), v);
+  v = dp_.version();
+  dp_.unregister_instance(4);
+  EXPECT_GT(dp_.version(), v);
+  v = dp_.version();
+  dp_.install_class(make_class(0, {0, 1, 2, 3}), {plan});
+  EXPECT_GT(dp_.version(), v);
+  v = dp_.version();
+  SubclassPlan updated = plan;
+  updated.itinerary = {{2, {2}}};
+  dp_.update_class(0, {updated});
+  EXPECT_GT(dp_.version(), v);
+  v = dp_.version();
+  EXPECT_TRUE(dp_.remove_class(0));
+  EXPECT_GT(dp_.version(), v);
+}
+
+TEST_F(DataPlaneTest, VersionHoldsWhenNothingAWalkCanSeeChanged) {
+  SubclassPlan plan;
+  plan.class_id = 0;
+  plan.subclass_id = 0;
+  plan.weight = 1.0;
+  plan.itinerary = {{1, {1}}};
+  dp_.install_class(make_class(0, {0, 1, 2, 3}), {plan});
+  const std::uint64_t v = dp_.version();
+
+  (void)dp_.walk(0, header());
+  EXPECT_EQ(dp_.version(), v);
+  dp_.unregister_instance(999);  // unknown id
+  EXPECT_EQ(dp_.version(), v);
+  EXPECT_FALSE(dp_.remove_class(7));  // absent class
+  EXPECT_EQ(dp_.version(), v);
+
+  SubclassPlan bad = plan;
+  bad.weight = 0.5;  // weights no longer sum to 1
+  EXPECT_THROW(dp_.install_class(make_class(1, {0, 1, 2, 3}), {bad}),
+               std::invalid_argument);
+  EXPECT_THROW(dp_.update_class(0, {bad}), std::invalid_argument);
+  EXPECT_EQ(dp_.version(), v);
+
+  dp_.set_rule_fault_hook([](traffic::ClassId) { return true; });
+  EXPECT_EQ(dp_.version(), v);
+  plan.class_id = 1;
+  EXPECT_THROW(dp_.install_class(make_class(1, {0, 1, 2, 3}), {plan}),
+               RuleInstallError);
+  EXPECT_THROW(dp_.update_class(0, {plan}), RuleInstallError);
+  EXPECT_EQ(dp_.version(), v);
+  dp_.set_rule_fault_hook(nullptr);
+  EXPECT_EQ(dp_.version(), v);
+}
+
 TEST_F(DataPlaneTest, InstanceLookupReturnsRegisteredFacts) {
   const auto fw = dp_.instance(1);
   ASSERT_TRUE(fw.has_value());

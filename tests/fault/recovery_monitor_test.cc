@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include "net/topologies.h"
+#include "obs/obs.h"
 
 namespace apple::fault {
 namespace {
@@ -168,6 +174,128 @@ TEST_F(PolicyProbeTest, WrongChainIsAViolation) {
   const std::vector<PolicyProbe> probes = {probe({NfType::kFirewall})};
   EXPECT_EQ(monitor.verify_policies(dp_, probes), 1u);
   EXPECT_EQ(monitor.policy_violations(), 1u);
+}
+
+// One data plane for a sweep with every outcome: class 0 runs FW -> IDS,
+// class 1's only instance is gone (blackholed), class 2 runs IDS alone.
+class SweepReuseTest : public ::testing::Test {
+ protected:
+  SweepReuseTest() : topo_(net::make_line(4, 64.0)), dp_(topo_) {
+    dp_.register_instance({/*id=*/1, NfType::kFirewall, /*host=*/1, 900.0});
+    dp_.register_instance({/*id=*/2, NfType::kIds, /*host=*/2, 600.0});
+    install(0, {{1, {1}}, {2, {2}}});
+    install(1, {{1, {3}}});  // instance 3 never registered
+    install(2, {{2, {2}}});
+
+    // In probe order: delivered, violating (class 2), blackholed,
+    // violating (class 0).
+    probes_ = {probe(0, {NfType::kFirewall, NfType::kIds}),
+               probe(2, {NfType::kFirewall}),
+               probe(1, {NfType::kNat}),
+               probe(0, {NfType::kFirewall})};
+  }
+
+  void install(traffic::ClassId id,
+               std::initializer_list<dataplane::HostVisit> itinerary) {
+    traffic::TrafficClass cls;
+    cls.id = id;
+    cls.src = 0;
+    cls.dst = 3;
+    cls.path = {0, 1, 2, 3};
+    dataplane::SubclassPlan plan;
+    plan.class_id = id;
+    plan.weight = 1.0;
+    plan.itinerary = itinerary;
+    dp_.install_class(cls, {plan});
+  }
+
+  static PolicyProbe probe(traffic::ClassId id,
+                           std::vector<NfType> expected) {
+    PolicyProbe p;
+    p.class_id = id;
+    p.header.src_ip = 0x0a000001 + id;
+    p.header.dst_ip = 0x0a000002;
+    p.header.src_port = 1024;
+    p.header.dst_port = 443;
+    p.header.proto = 6;
+    p.expected_chain = std::move(expected);
+    return p;
+  }
+
+  // fault.* probe counters, read from the process-wide registry.
+  static std::vector<std::uint64_t> counters() {
+    std::vector<std::uint64_t> values;
+    for (const char* name : {"fault.policy_probes", "fault.blackholed_probes",
+                             "fault.policy_violations"}) {
+      values.push_back(obs::default_registry().counter(name).value());
+    }
+    return values;
+  }
+
+  static std::vector<std::uint64_t> delta(const std::vector<std::uint64_t>& a,
+                                          const std::vector<std::uint64_t>& b) {
+    std::vector<std::uint64_t> d;
+    for (std::size_t i = 0; i < a.size(); ++i) d.push_back(b[i] - a[i]);
+    return d;
+  }
+
+  net::Topology topo_;
+  dataplane::DataPlane dp_;
+  std::vector<PolicyProbe> probes_;
+};
+
+TEST_F(SweepReuseTest, RepeatCountsWhatASecondWalkWould) {
+  obs::EventLog& log = obs::default_event_log();
+  log.set_clock([] { return 0.0; });
+
+  // Reference: two walked sweeps.
+  log.reset();
+  RecoveryMonitor walked;
+  EXPECT_EQ(walked.verify_policies(dp_, probes_), 2u);
+  const auto before_second = counters();
+  EXPECT_EQ(walked.verify_policies(dp_, probes_), 2u);
+  const auto walked_delta = delta(before_second, counters());
+  const std::string walked_journal = log.journal_json();
+
+  // One walked sweep, then a repeat.
+  log.reset();
+  RecoveryMonitor reused;
+  EXPECT_EQ(reused.verify_policies(dp_, probes_), 2u);
+  const auto before_repeat = counters();
+  EXPECT_EQ(reused.repeat_last_sweep(probes_), 2u);
+  const auto reused_delta = delta(before_repeat, counters());
+  const std::string reused_journal = log.journal_json();
+  log.set_clock(obs::Clock(&obs::steady_clock_seconds));
+  log.reset();
+
+#if defined(APPLE_ENABLE_METRICS) && APPLE_ENABLE_METRICS
+  EXPECT_EQ(walked_delta, (std::vector<std::uint64_t>{4, 1, 2}));
+  EXPECT_NE(walked_journal.find("fault.policy_violation"), std::string::npos);
+#endif
+  EXPECT_EQ(reused_delta, walked_delta);
+  // Same fault.policy_violation events (class 2, then class 0) in the
+  // same order.
+  EXPECT_EQ(reused_journal, walked_journal);
+
+  const RecoveryReport a = walked.report();
+  const RecoveryReport b = reused.report();
+  EXPECT_EQ(b.fingerprint(), a.fingerprint());
+  EXPECT_EQ(b.policy_probes, 8u);
+  EXPECT_EQ(b.blackholed_probes, 2u);
+  EXPECT_EQ(b.policy_violations, 4u);
+  EXPECT_EQ(reused.policy_violations(), 4u);
+}
+
+TEST_F(SweepReuseTest, RepeatBeforeAnySweepCountsNothing) {
+  RecoveryMonitor monitor;
+  const auto before = counters();
+  EXPECT_EQ(monitor.repeat_last_sweep(probes_), 0u);
+  EXPECT_EQ(delta(before, counters()),
+            (std::vector<std::uint64_t>{0, 0, 0}));
+  const RecoveryReport report = monitor.report();
+  EXPECT_EQ(report.policy_probes, 0u);
+  EXPECT_EQ(report.blackholed_probes, 0u);
+  EXPECT_EQ(report.policy_violations, 0u);
 }
 
 TEST(RecoveryReport, FingerprintIsDeterministicAndValueSensitive) {

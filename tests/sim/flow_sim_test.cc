@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace apple::sim {
 namespace {
 
@@ -112,12 +115,18 @@ TEST(FlowSimulation, HistoryAndClockAdvance) {
   FlowSimulation sim(0.5);
   sim.set_class_rate(0, 10.0);
   sim.install_class_plans(0, {plan_through(0, {})});
-  sim.run_until(2.0);
-  EXPECT_EQ(sim.history().size(), 4u);
+  sim.run_until(1.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  // The simulation keeps no history: a caller keeps the stats it needs.
+  std::vector<TickStats> history;
+  history.push_back(sim.step());
+  history.push_back(sim.step());
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-  EXPECT_DOUBLE_EQ(sim.history()[2].time, 1.0);
+  EXPECT_DOUBLE_EQ(history[0].time, 1.0);
+  EXPECT_DOUBLE_EQ(history[1].time, 1.5);
   // Empty itinerary means nothing to drop.
-  EXPECT_DOUBLE_EQ(sim.history().back().loss_rate, 0.0);
+  EXPECT_DOUBLE_EQ(history.back().loss_rate, 0.0);
+  EXPECT_DOUBLE_EQ(history.back().offered_mbps, 10.0);
 }
 
 TEST(FlowSimulation, RemoveInstance) {
@@ -126,6 +135,99 @@ TEST(FlowSimulation, RemoveInstance) {
   EXPECT_TRUE(sim.has_instance(1));
   sim.remove_instance(1);
   EXPECT_FALSE(sim.has_instance(1));
+}
+
+TEST(FlowSimulation, InstancesAndPlansChangedBetweenTicksTakeEffect) {
+  FlowSimulation sim(0.01);
+  sim.add_instance(VnfInstance{1, NfType::kFirewall, 0, 900.0});
+  sim.add_instance(VnfInstance{2, NfType::kFirewall, 0, 300.0});
+  sim.set_class_rate(0, 600.0);
+  sim.install_class_plans(0, {plan_through(0, {1})});
+  EXPECT_DOUBLE_EQ(sim.step().loss_rate, 0.0);
+
+  // Plans re-installed onto an existing instance: the next tick routes
+  // through it (600 into 300: half lost).
+  sim.install_class_plans(0, {plan_through(0, {2})});
+  TickStats stats = sim.step();
+  EXPECT_DOUBLE_EQ(sim.instance_offered_mbps(1), 0.0);
+  EXPECT_DOUBLE_EQ(sim.instance_offered_mbps(2), 600.0);
+  EXPECT_NEAR(stats.loss_rate, 0.5, 1e-12);
+
+  // An instance added and the plans split onto it.
+  sim.add_instance(VnfInstance{3, NfType::kFirewall, 0, 300.0});
+  sim.install_class_plans(
+      0, {plan_through(0, {2}, 0.5, 0), plan_through(0, {3}, 0.5, 1)});
+  stats = sim.step();
+  EXPECT_DOUBLE_EQ(sim.instance_offered_mbps(2), 300.0);
+  EXPECT_DOUBLE_EQ(sim.instance_offered_mbps(3), 300.0);
+  EXPECT_DOUBLE_EQ(stats.loss_rate, 0.0);
+
+  // Re-adding an id replaces the instance the plans reach.
+  sim.add_instance(VnfInstance{3, NfType::kFirewall, 0, 150.0});
+  stats = sim.step();
+  EXPECT_NEAR(stats.delivered_mbps, 300.0 + 150.0, 1e-9);
+}
+
+TEST(FlowSimulation, LivenessAndBootTimeApplyWithoutAStructuralChange) {
+  FlowSimulation sim(0.5);
+  sim.add_instance(VnfInstance{1, NfType::kFirewall, 0, 900.0});
+  sim.set_class_rate(0, 400.0);
+  sim.install_class_plans(0, {plan_through(0, {1})});
+  EXPECT_DOUBLE_EQ(sim.step().delivered_mbps, 400.0);
+
+  sim.set_instance_alive(1, false);
+  TickStats stats = sim.step();
+  EXPECT_DOUBLE_EQ(stats.delivered_mbps, 0.0);
+  EXPECT_DOUBLE_EQ(stats.blackholed_mbps, 400.0);
+
+  sim.set_instance_alive(1, true);
+  sim.set_ready_at(1, sim.now() + 0.5);  // rebooting for one more tick
+  stats = sim.step();
+  EXPECT_DOUBLE_EQ(stats.delivered_mbps, 0.0);
+  EXPECT_DOUBLE_EQ(stats.blackholed_mbps, 0.0);  // booting is not a fault
+  EXPECT_DOUBLE_EQ(sim.step().delivered_mbps, 400.0);
+
+  sim.set_class_rate(0, 100.0);
+  EXPECT_DOUBLE_EQ(sim.step().delivered_mbps, 100.0);
+}
+
+TEST(FlowSimulation, RemovedInstanceStillInAPlanFailsTheNextTick) {
+  FlowSimulation sim(0.01);
+  sim.add_instance(VnfInstance{1, NfType::kFirewall, 0, 900.0});
+  sim.add_instance(VnfInstance{2, NfType::kIds, 0, 900.0});
+  sim.set_class_rate(0, 500.0);
+  sim.install_class_plans(0, {plan_through(0, {1, 2})});
+  EXPECT_DOUBLE_EQ(sim.step().delivered_mbps, 500.0);
+
+  sim.remove_instance(2);
+  EXPECT_THROW(sim.step(), std::out_of_range);
+  // Still failing, not reading a stale instance, on every later tick.
+  EXPECT_THROW(sim.step(), std::out_of_range);
+
+  // Repaired by re-installing the plans around the removed instance.
+  sim.install_class_plans(0, {plan_through(0, {1})});
+  EXPECT_DOUBLE_EQ(sim.step().delivered_mbps, 500.0);
+}
+
+TEST(FlowSimulation, IdleOrSeveredClassThroughARemovedInstanceIsHarmless) {
+  FlowSimulation sim(0.01);
+  sim.add_instance(VnfInstance{1, NfType::kFirewall, 0, 900.0});
+  sim.add_instance(VnfInstance{2, NfType::kIds, 0, 900.0});
+  sim.set_class_rate(0, 0.0);
+  sim.set_class_rate(1, 300.0);
+  sim.install_class_plans(0, {plan_through(0, {2})});
+  sim.install_class_plans(1, {plan_through(1, {2})});
+  sim.set_class_severed(1, true);
+  sim.remove_instance(2);
+
+  // Neither class sends traffic through the missing instance.
+  TickStats stats;
+  EXPECT_NO_THROW(stats = sim.step());
+  EXPECT_DOUBLE_EQ(stats.offered_mbps, 300.0);
+  EXPECT_DOUBLE_EQ(stats.blackholed_mbps, 300.0);
+
+  sim.set_class_severed(1, false);  // the link heals: now it routes there
+  EXPECT_THROW(sim.step(), std::out_of_range);
 }
 
 TEST(FlowSimulation, ZeroRateClassCostsNothing) {
