@@ -24,6 +24,7 @@
 #include "net/routing.h"
 #include "net/topologies.h"
 #include "sim/event_queue.h"
+#include "traffic/class_store.h"
 #include "traffic/flow_classes.h"
 #include "traffic/synthesis.h"
 
@@ -328,11 +329,12 @@ void BM_EpochFlightRecorder(benchmark::State& state) {
   core::PipelineOptions options;
   options.engine.strategy = core::PlacementStrategy::kGreedy;
   const core::EpochPipeline pipeline(options);
+  const traffic::ClassStore store = traffic::build_class_store(fx.classes);
   obs::EventLog& log = obs::default_event_log();
   const bool was_enabled = log.enabled();
   log.set_enabled(state.range(0) != 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline.run(fx.topo, fx.chains, fx.classes));
+    benchmark::DoNotOptimize(pipeline.run(fx.topo, fx.chains, store));
   }
   log.set_enabled(was_enabled);
 }

@@ -27,7 +27,7 @@
 #include "bench_common.h"
 #include "core/epoch_pipeline.h"
 #include "net/routing.h"
-#include "traffic/flow_classes.h"
+#include "traffic/class_store.h"
 #include "vnf/nf_types.h"
 
 namespace {
@@ -90,8 +90,12 @@ SeriesResult run_series(const std::string& label, const net::Topology& topo,
   const core::EpochPipeline pipeline(options);
   const orch::OrchestrationTimings& timings = pipeline.options().timings;
 
+  // One-shard stores reproduce build_classes exactly: same classes, same
+  // row-major order, same ids.
+  const traffic::StoreBuildOptions one_shard{.num_shards = 1};
   core::Epoch seed = pipeline.run(
-      topo, chains, traffic::build_classes(topo, routing, base, assignment));
+      topo, chains,
+      traffic::build_class_store(topo, routing, base, assignment, one_shard));
 
   SeriesResult result;
   result.label = label;
@@ -103,10 +107,10 @@ SeriesResult run_series(const std::string& label, const net::Topology& topo,
   {
     core::Epoch prev = seed;
     for (std::size_t t = 0; t < kSnapshots; ++t) {
-      auto classes = traffic::build_classes(topo, routing, perturb(base, t),
-                                            assignment);
+      traffic::ClassStore store = traffic::build_class_store(
+          topo, routing, perturb(base, t), assignment, one_shard);
       const auto t0 = std::chrono::steady_clock::now();
-      core::Epoch next = pipeline.run(topo, chains, std::move(classes));
+      core::Epoch next = pipeline.run(topo, chains, std::move(store));
       result.full_s += now_seconds(t0);
       result.full_instance_churn +=
           prev.plan.total_instances() + next.plan.total_instances();
@@ -124,11 +128,11 @@ SeriesResult run_series(const std::string& label, const net::Topology& topo,
   {
     core::Epoch prev = std::move(seed);
     for (std::size_t t = 0; t < kSnapshots; ++t) {
-      auto classes = traffic::build_classes(topo, routing, perturb(base, t),
-                                            assignment);
+      traffic::ClassStore store = traffic::build_class_store(
+          topo, routing, perturb(base, t), assignment, one_shard);
       const auto t0 = std::chrono::steady_clock::now();
       core::IncrementalEpoch inc =
-          pipeline.advance(prev, topo, chains, std::move(classes));
+          pipeline.advance(prev, topo, chains, std::move(store));
       result.incremental_s += now_seconds(t0);
       result.incremental_instance_churn += inc.plan_delta.instances_launched +
                                            inc.plan_delta.instances_retired +

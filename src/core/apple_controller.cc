@@ -40,7 +40,6 @@ traffic::ClassStore AppleController::build_class_store(
     const traffic::TrafficMatrix& tm) const {
   traffic::StoreBuildOptions options;
   options.num_shards = config_.class_shards;
-  options.num_workers = config_.class_build_workers;
   options.min_rate_mbps = config_.min_class_rate_mbps;
   return traffic::build_class_store(*topo_, routing_, tm, assign_, options);
 }

@@ -38,10 +38,9 @@ struct ControllerConfig {
   // Chains each policied OD pair fans out over (scale scenarios; 1 = the
   // classic one-chain-per-pair assignment).
   std::size_t chains_per_pair = 1;
-  // Shard count of the canonical ClassStore and worker lanes for its
-  // parallel build (traffic/class_store.h; 1 builds serially).
+  // Shard count of the ClassStore every epoch carries
+  // (traffic/class_store.h).
   std::size_t class_shards = 64;
-  std::size_t class_build_workers = 1;
   // Re-run the Optimization Engine every N snapshots during replay
   // (0 = never). This is the paper's large-time-scale mechanism (Sec. VI):
   // slow daily/weekly patterns tolerate full VNF installation, so the

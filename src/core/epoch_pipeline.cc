@@ -1,11 +1,10 @@
 #include "core/epoch_pipeline.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -73,63 +72,14 @@ double boot_latency_of(const InstanceOp& op,
 
 }  // namespace
 
-ClassDelta diff_classes(std::span<const traffic::TrafficClass> prev,
-                        std::span<const traffic::TrafficClass> next,
-                        const ClassDeltaOptions& options) {
-  APPLE_OBS_SPAN("core.pipeline.stage.diff_classes");
-  // Identity of a class across snapshots: the (src, dst, chain) triple.
-  // std::map keeps the scan deterministic regardless of hashing.
-  std::map<std::array<std::uint64_t, 3>, std::size_t> index;
-  for (std::size_t p = 0; p < prev.size(); ++p) {
-    index.emplace(std::array<std::uint64_t, 3>{prev[p].src, prev[p].dst,
-                                               prev[p].chain_id},
-                  p);
-  }
-
-  ClassDelta delta;
-  delta.prev_of.assign(next.size(), kNoClass);
-  std::vector<bool> matched(prev.size(), false);
-  for (std::size_t h = 0; h < next.size(); ++h) {
-    const traffic::TrafficClass& cls = next[h];
-    const auto it = index.find({cls.src, cls.dst, cls.chain_id});
-    // A rerouted class (different path) is remove + add: the pinned
-    // assignment would reference positions that no longer exist.
-    if (it == index.end() || prev[it->second].path != cls.path) {
-      delta.added.push_back(h);
-      continue;
-    }
-    const std::size_t p = it->second;
-    matched[p] = true;
-    delta.prev_of[h] = p;
-    const double prev_rate = prev[p].rate_mbps;
-    const double next_rate = cls.rate_mbps;
-    const double base = std::max(std::abs(prev_rate), options.zero_rate_mbps);
-    if (std::abs(next_rate - prev_rate) / base > options.rate_change_threshold) {
-      delta.rate_changed.push_back(h);
-    } else {
-      delta.unchanged.push_back(h);
-    }
-  }
-  for (std::size_t p = 0; p < prev.size(); ++p) {
-    if (!matched[p]) delta.removed.push_back(p);
-  }
-
-  APPLE_OBS_COUNT_N("core.pipeline.classes_added", delta.added.size());
-  APPLE_OBS_COUNT_N("core.pipeline.classes_removed", delta.removed.size());
-  APPLE_OBS_COUNT_N("core.pipeline.classes_rate_changed",
-                    delta.rate_changed.size());
-  APPLE_OBS_COUNT_N("core.pipeline.classes_pinned", delta.unchanged.size());
-  return delta;
-}
-
 ClassDelta diff_classes(const traffic::ClassStore& prev,
                         const traffic::ClassStore& next,
                         const ClassDeltaOptions& options) {
   APPLE_OBS_SPAN("core.pipeline.stage.diff_classes");
   // The (src, dst) shard partition is a pure hash, so matching classes can
   // only ever sit in the shard of the same index — diffing shard-against-
-  // shard yields exactly the flat diff's buckets, in the same (global
-  // stable-iteration-order) index order.
+  // shard yields exactly the buckets of a keyed match over the two whole
+  // views, in the same (global stable-iteration-order) index order.
   APPLE_CHECK_EQ(prev.num_shards(), next.num_shards());
 
   ClassDelta delta;
@@ -458,10 +408,10 @@ void apply_rule_delta(
 EpochPipeline::EpochPipeline(PipelineOptions options)
     : options_(std::move(options)) {}
 
-Epoch EpochPipeline::assemble(const net::Topology& topo,
-                              std::span<const vnf::PolicyChain> chains,
-                              std::vector<traffic::TrafficClass> classes,
-                              PlacementPlan plan) const {
+Epoch EpochPipeline::assemble_epoch(const net::Topology& topo,
+                                    std::span<const vnf::PolicyChain> chains,
+                                    std::vector<traffic::TrafficClass> classes,
+                                    PlacementPlan plan) const {
   APPLE_OBS_SPAN("core.pipeline.assemble");
   if (!plan.feasible) {
     throw std::runtime_error("placement infeasible: " +
@@ -495,16 +445,12 @@ Epoch EpochPipeline::assemble(const net::Topology& topo,
   return epoch;
 }
 
-Epoch EpochPipeline::assemble_epoch(const net::Topology& topo,
-                                    std::span<const vnf::PolicyChain> chains,
-                                    std::vector<traffic::TrafficClass> classes,
-                                    PlacementPlan plan) const {
-  return assemble(topo, chains, std::move(classes), std::move(plan));
-}
-
 Epoch EpochPipeline::run(const net::Topology& topo,
                          std::span<const vnf::PolicyChain> chains,
-                         std::vector<traffic::TrafficClass> classes) const {
+                         traffic::ClassStore store) const {
+  // The view is materialized before the epoch span opens: it is the
+  // class store's cost, not the pipeline's.
+  std::vector<traffic::TrafficClass> classes = store.materialize_view();
   APPLE_OBS_COUNT("core.pipeline.epochs_full");
   APPLE_OBS_EVENT_EPOCH();
   APPLE_OBS_SPAN("core.pipeline.epoch");
@@ -517,37 +463,10 @@ Epoch EpochPipeline::run(const net::Topology& topo,
     APPLE_OBS_SPAN("core.pipeline.stage.place");
     plan = OptimizationEngine(options_.engine).place(input);
   }
-  return assemble(topo, chains, std::move(classes), std::move(plan));
-}
-
-Epoch EpochPipeline::run(const net::Topology& topo,
-                         std::span<const vnf::PolicyChain> chains,
-                         traffic::ClassStore store) const {
-  Epoch epoch = run(topo, chains, store.materialize_view());
+  Epoch epoch =
+      assemble_epoch(topo, chains, std::move(classes), std::move(plan));
   epoch.store = std::move(store);
   return epoch;
-}
-
-IncrementalEpoch EpochPipeline::advance(
-    const Epoch& prev, const net::Topology& topo,
-    std::span<const vnf::PolicyChain> chains,
-    std::vector<traffic::TrafficClass> next_classes) const {
-  APPLE_OBS_COUNT("core.pipeline.epochs_incremental");
-  APPLE_OBS_EVENT_EPOCH();
-  APPLE_OBS_SPAN("core.pipeline.advance");
-
-  // Stage 1: class delta. Surviving classes keep their previous ids (the
-  // installed TCAM tags stay valid); added classes take fresh ids so a
-  // retired id is never reused while its rules may still be draining.
-  ClassDelta delta = diff_classes(prev.classes, next_classes, options_.delta);
-  traffic::ClassId next_class_id = prev.next_class_id;
-  for (std::size_t h = 0; h < next_classes.size(); ++h) {
-    const std::size_t p = delta.prev_of[h];
-    next_classes[h].id =
-        p != kNoClass ? prev.classes[p].id : next_class_id++;
-  }
-  return advance_with_delta(prev, topo, chains, std::move(next_classes),
-                            std::move(delta), next_class_id);
 }
 
 IncrementalEpoch EpochPipeline::advance(const Epoch& prev,
@@ -562,34 +481,25 @@ IncrementalEpoch EpochPipeline::advance(const Epoch& prev,
   // diff address prev.classes through the store's stable iteration order.
   APPLE_CHECK_EQ(prev.store.size(), prev.classes.size());
 
-  // Stage 1, sharded: per-shard diff (clean shards skip matching), then id
-  // carry-over written straight into the sharded id arrays before the view
-  // is materialized.
-  ClassDelta delta = diff_classes(prev.store, next_store, options_.delta);
+  // Stage 1: per-shard class delta (clean shards skip matching). Surviving
+  // classes keep their previous ids (the installed TCAM tags stay valid);
+  // added classes take fresh ids so a retired id is never reused while its
+  // rules may still be draining. The ids go straight into the sharded id
+  // arrays before the view is materialized.
+  IncrementalEpoch out;
+  out.class_delta = diff_classes(prev.store, next_store, options_.delta);
   traffic::ClassId next_class_id = prev.next_class_id;
   std::size_t h = 0;
   for (std::size_t s = 0; s < next_store.num_shards(); ++s) {
     const std::size_t count = next_store.shard(s).size();
     for (std::size_t i = 0; i < count; ++i, ++h) {
-      const std::size_t p = delta.prev_of[h];
+      const std::size_t p = out.class_delta.prev_of[h];
       next_store.set_id(s, i,
                         p != kNoClass ? prev.classes[p].id : next_class_id++);
     }
   }
-  IncrementalEpoch out =
-      advance_with_delta(prev, topo, chains, next_store.materialize_view(),
-                         std::move(delta), next_class_id);
-  out.epoch.store = std::move(next_store);
-  return out;
-}
-
-IncrementalEpoch EpochPipeline::advance_with_delta(
-    const Epoch& prev, const net::Topology& topo,
-    std::span<const vnf::PolicyChain> chains,
-    std::vector<traffic::TrafficClass> next_classes, ClassDelta delta,
-    traffic::ClassId next_class_id) const {
-  IncrementalEpoch out;
-  out.class_delta = std::move(delta);
+  std::vector<traffic::TrafficClass> next_classes =
+      next_store.materialize_view();
 
   // Stage 2: incremental placement — pin unchanged classes, water-fill the
   // dirty ones over residual capacity (kExact re-proves optimality with the
@@ -653,6 +563,7 @@ IncrementalEpoch EpochPipeline::advance_with_delta(
                     out.control_latency_s);
   APPLE_OBS_COUNT_N("core.pipeline.classes_resolved",
                     out.plan_delta.resolved_classes.size());
+  epoch.store = std::move(next_store);
   return out;
 }
 

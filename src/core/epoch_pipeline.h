@@ -58,7 +58,7 @@ struct ClassDeltaOptions {
 
 inline constexpr std::size_t kNoClass = static_cast<std::size_t>(-1);
 
-// Diff between a previous and a next class set. Classes match on their
+// Diff between a previous and a next class store. Classes match on their
 // (src, dst, chain_id) identity and their forwarding path; a path change
 // (rerouting) is treated as remove + add since the pinned assignment would
 // be meaningless on the new path.
@@ -69,8 +69,9 @@ struct ClassDelta {
   std::vector<std::size_t> removed;       // prev indices with no next match
   // prev_of[next index] = matching prev index, or kNoClass for added.
   std::vector<std::size_t> prev_of;
-  // Shard accounting of the store-based diff (zero on the flat path): how
-  // many shards were diffed at all vs skipped via fingerprint equality.
+  // Shard accounting: how many shards were diffed class by class vs
+  // skipped via fingerprint equality (shards_dirty + shards_clean is the
+  // stores' shard count).
   std::size_t shards_dirty = 0;
   std::size_t shards_clean = 0;
 
@@ -81,16 +82,14 @@ struct ClassDelta {
   }
 };
 
-ClassDelta diff_classes(std::span<const traffic::TrafficClass> prev,
-                        std::span<const traffic::TrafficClass> next,
-                        const ClassDeltaOptions& options = {});
-
 // Sharded diff over two ClassStores with the same shard count. Shards whose
 // content fingerprints match short-circuit to "all pinned" without any
 // per-class matching — an incremental epoch only pays for dirty shards.
 // Indices in the delta are global stable-iteration-order indices (matching
 // the stores' materialized views), and the delta buckets are identical to
-// what the flat diff over the two views would produce.
+// those of a (src, dst, chain)-keyed match over the two views that keeps
+// each key's first prev class (the reference matcher of
+// tests/core/epoch_pipeline_test.cc).
 ClassDelta diff_classes(const traffic::ClassStore& prev,
                         const traffic::ClassStore& next,
                         const ClassDeltaOptions& options = {});
@@ -205,11 +204,13 @@ void apply_rule_delta(
 // (Moved here from apple_controller.h so every stage consumer shares one
 // definition.)
 struct Epoch {
+  // Read-only view the engine stages span: `store`'s materialized classes
+  // in the store's stable iteration order (index h here is class h of
+  // `plan`, `subclasses` and every delta).
   std::vector<traffic::TrafficClass> classes;
-  // Canonical sharded representation (traffic/class_store.h). Populated by
-  // the store-based run/advance overloads — `classes` is then its
-  // materialized view in the store's stable order; empty (size 0) on the
-  // legacy flat path.
+  // The epoch's class container (traffic/class_store.h). run and advance
+  // always set it; it is empty only between assemble_epoch and its caller
+  // setting it.
   traffic::ClassStore store;
   PlacementPlan plan;
   InstanceInventory inventory;
@@ -245,22 +246,17 @@ struct PipelineOptions {
 // The staged epoch pipeline. `run` assembles a from-scratch epoch (the path
 // AppleController::optimize* shares); `advance` produces the next epoch
 // from the previous one via the delta stages, re-solving only dirty
-// classes.
+// classes. Both take the next epoch's classes as a ClassStore and keep it
+// as the epoch's `store`.
 class EpochPipeline {
  public:
   explicit EpochPipeline(PipelineOptions options = {});
 
   const PipelineOptions& options() const { return options_; }
 
-  // Full epoch: placement -> inventory -> sub-classes -> rule accounting.
-  // Throws std::runtime_error when the placement is infeasible.
-  Epoch run(const net::Topology& topo,
-            std::span<const vnf::PolicyChain> chains,
-            std::vector<traffic::TrafficClass> classes) const;
-
-  // Store-based full epoch: the engine ingests the store's materialized
-  // view (PlacementInput is span-of-struct) and the epoch keeps the store
-  // as its canonical class representation.
+  // Full epoch: placement of the store's materialized view -> inventory ->
+  // sub-classes -> rule accounting. Throws std::runtime_error when the
+  // placement is infeasible.
   Epoch run(const net::Topology& topo,
             std::span<const vnf::PolicyChain> chains,
             traffic::ClassStore store) const;
@@ -270,47 +266,28 @@ class EpochPipeline {
   // assignment, rule accounting, id counters), without re-running the
   // engine. The multi-domain coordinator (src/ctrl) places per-domain
   // inputs itself — possibly against residual budgets after a reconcile —
-  // and materializes epochs through this seam. Throws std::runtime_error
-  // when `plan` is infeasible.
+  // and materializes epochs through this seam. The returned epoch's
+  // `store` is empty: the caller sets it to the store whose view
+  // `classes` is. Throws std::runtime_error when `plan` is infeasible.
   Epoch assemble_epoch(const net::Topology& topo,
                        std::span<const vnf::PolicyChain> chains,
                        std::vector<traffic::TrafficClass> classes,
                        PlacementPlan plan) const;
 
-  // Incremental epoch: diff `next_classes` against `prev`, pin unchanged
+  // Incremental epoch: per-shard diff of `next_store` against prev's store
+  // (clean shards skip per-class matching entirely), pin unchanged
   // classes, re-solve dirty ones over residual capacity, patch inventory
   // and rule state. Surviving classes keep their previous class ids (their
-  // installed TCAM tags stay valid); added classes get fresh ids. Falls
-  // back to a full recompute when the incremental solve is infeasible;
-  // throws std::runtime_error when even that is infeasible.
-  IncrementalEpoch advance(const Epoch& prev, const net::Topology& topo,
-                           std::span<const vnf::PolicyChain> chains,
-                           std::vector<traffic::TrafficClass> next_classes)
-      const;
-
-  // Store-based incremental epoch: per-shard diff against prev's store
-  // (clean shards skip per-class matching entirely), id carry-over written
-  // straight into the sharded arrays, then the same delta-driven stages.
-  // `prev` must have been produced by a store-based run/advance.
+  // installed TCAM tags stay valid), written straight into the sharded id
+  // arrays; added classes get fresh ids. `prev` must be store-backed with
+  // the same shard count. Falls back to a full recompute when the
+  // incremental solve is infeasible; throws std::runtime_error when even
+  // that is infeasible.
   IncrementalEpoch advance(const Epoch& prev, const net::Topology& topo,
                            std::span<const vnf::PolicyChain> chains,
                            traffic::ClassStore next_store) const;
 
  private:
-  Epoch assemble(const net::Topology& topo,
-                 std::span<const vnf::PolicyChain> chains,
-                 std::vector<traffic::TrafficClass> classes,
-                 PlacementPlan plan) const;
-
-  // Stages 2-5 shared by both advance overloads: incremental placement over
-  // a precomputed class delta (ids already carried over in next_classes),
-  // plan/inventory/rule patching.
-  IncrementalEpoch advance_with_delta(
-      const Epoch& prev, const net::Topology& topo,
-      std::span<const vnf::PolicyChain> chains,
-      std::vector<traffic::TrafficClass> next_classes, ClassDelta delta,
-      traffic::ClassId next_class_id) const;
-
   PipelineOptions options_;
 };
 

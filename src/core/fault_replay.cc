@@ -191,7 +191,7 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
   const auto classes_through = [&](const std::vector<fault::KilledInstance>&
                                        killed) {
     std::set<traffic::ClassId> hit;
-    for (const traffic::TrafficClass& cls : live.classes()) {
+    for (const traffic::TrafficClass& cls : epoch.classes) {
       for (const fault::KilledInstance& k : killed) {
         if (plans_reference(flow.plans_of(cls.id), k.id)) {
           hit.insert(cls.id);
@@ -252,7 +252,7 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
   // Blackholed demand of this tick, attributed to the earliest open fault
   // whose blast radius contains the class.
   const auto attribute_loss = [&] {
-    for (const traffic::TrafficClass& cls : live.classes()) {
+    for (const traffic::TrafficClass& cls : epoch.classes) {
       const double mbps = flow.class_blackholed_mbps(cls.id);
       if (mbps <= 0.0) continue;
       const double mbit = mbps * config.tick;
@@ -412,7 +412,7 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
         job.registered = true;
       }
       bool blocked = false;
-      for (const traffic::TrafficClass& cls : live.classes()) {
+      for (const traffic::TrafficClass& cls : epoch.classes) {
         const auto& plans = flow.plans_of(cls.id);
         if (!plans_reference(plans, job.dead)) continue;
         auto next_plans =
@@ -490,8 +490,8 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
     }
     // Rule canary: refresh the first class's (unchanged) rules.
     if ((injector.pending_rule_faults() > 0 || canary.rule_fault) &&
-        !live.classes().empty()) {
-      const traffic::ClassId cls = live.classes().front().id;
+        !epoch.classes.empty()) {
+      const traffic::ClassId cls = epoch.classes.front().id;
       try {
         dp.update_class(cls, flow.plans_of(cls));
         if (canary.rule_fault) {

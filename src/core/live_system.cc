@@ -36,15 +36,19 @@ std::size_t ticks_per(double interval, double tick) {
 
 LiveSystem::LiveSystem(const net::Topology& topo, const Epoch& epoch,
                        double tick)
-    : orchestrator(topo), flow(tick), classes_(epoch.classes) {
+    : orchestrator(topo), flow(tick), classes_(epoch.store) {
+  APPLE_CHECK_EQ(epoch.store.size(), epoch.classes.size());
   serve(epoch, 0.0);
 }
 
 void LiveSystem::rerate(const traffic::TrafficMatrix& tm,
                         const traffic::ChainAssignment& assignment) {
   traffic::update_rates(classes_, tm, assignment);
-  for (const traffic::TrafficClass& cls : classes_) {
-    flow.set_class_rate(cls.id, cls.rate_mbps);
+  for (std::size_t s = 0; s < classes_.num_shards(); ++s) {
+    const traffic::ClassStore::Shard& shard = classes_.shard(s);
+    for (std::size_t i = 0; i < shard.size(); ++i) {
+      flow.set_class_rate(shard.ids[i], shard.rates[i]);
+    }
   }
 }
 

@@ -12,7 +12,7 @@
 #include "core/epoch_pipeline.h"
 #include "orch/resource_orchestrator.h"
 #include "sim/flow_sim.h"
-#include "traffic/flow_classes.h"
+#include "traffic/class_store.h"
 #include "traffic/traffic_matrix.h"
 
 namespace apple::core {
@@ -30,12 +30,12 @@ std::size_t ticks_per(double interval, double tick);
 class LiveSystem {
  public:
   // Brings `epoch` up at t = 0: adopts its fleet, serves it and installs
-  // every class's sub-class plans. `topo` must outlive the system.
+  // every class's sub-class plans. `epoch` must be store-backed; `topo`
+  // must outlive the system.
   LiveSystem(const net::Topology& topo, const Epoch& epoch, double tick);
 
-  // The carried classes, at the rates of the last `rerate`.
-  const std::vector<traffic::TrafficClass>& classes() const { return classes_; }
-
+  // Re-rates the carried classes (a copy of the epoch's store) against
+  // `tm` and pushes every rate into the simulation, in store order.
   void rerate(const traffic::TrafficMatrix& tm,
               const traffic::ChainAssignment& assignment);
 
@@ -50,7 +50,7 @@ class LiveSystem {
  private:
   void serve(const Epoch& epoch, double now);
 
-  std::vector<traffic::TrafficClass> classes_;
+  traffic::ClassStore classes_;
 };
 
 }  // namespace apple::core

@@ -13,14 +13,6 @@ void DomainConfig::validate() const {
   if (num_domains == 0) {
     throw std::invalid_argument("DomainConfig.num_domains must be >= 1");
   }
-  switch (conflict_policy) {
-    case ConflictPolicy::kResolve:
-    case ConflictPolicy::kReject:
-      break;
-    default:
-      throw std::invalid_argument(
-          "DomainConfig.conflict_policy outside enum range");
-  }
 }
 
 bool DomainPartition::crosses_domains(

@@ -20,25 +20,14 @@
 
 namespace apple::ctrl {
 
-// How the coordinator treats a domain whose proposed placement no longer
-// fits the residual host budgets left by lower-numbered domains.
-enum class ConflictPolicy : int {
-  // Re-solve the domain against the residual budgets (masked topology).
-  kResolve = 0,
-  // Reject the domain's batch: it keeps serving its previous epoch.
-  kReject = 1,
-};
-
 struct DomainConfig {
   // Number of control domains K. Must be >= 1 and <= the node count of the
   // topology being partitioned (checked at partition time).
   std::size_t num_domains = 1;
   // Seed of the deterministic edge-cut.
   std::uint64_t seed = 0;
-  ConflictPolicy conflict_policy = ConflictPolicy::kResolve;
 
-  // Throws std::invalid_argument when K is 0 or the conflict policy is
-  // outside the enum range.
+  // Throws std::invalid_argument when K is 0.
   void validate() const;
 };
 

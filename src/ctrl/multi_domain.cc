@@ -152,8 +152,8 @@ ApplyReport MultiDomainController::initialize(
   notify("proposed");
 
   // Phase 2 — reconcile in domain-id order against the residual ledger.
-  // Bring-up always re-solves conflicts: with no previous epoch, kReject
-  // would leave the domain serving nothing.
+  // A conflicted domain re-solves over the residual budgets; with no
+  // previous epoch to bounce back to, one that stays infeasible aborts.
   std::vector<double> residual(topo_->num_nodes());
   for (net::NodeId v = 0; v < residual.size(); ++v) {
     residual[v] = topo_->node(v).host_cores;
@@ -187,13 +187,15 @@ ApplyReport MultiDomainController::initialize(
   notify("reconciled");
 
   // Phase 3 — commit: assemble epochs and install the per-domain data
-  // planes only now, after every claim was granted.
+  // planes only now, after every claim was granted. Each epoch's store is
+  // its key-sorted classes in one shard.
   {
     APPLE_OBS_SPAN("ctrl.domain.commit");
     for_each_domain([&](std::size_t d) {
       Domain& dom = domains_[d];
       dom.epoch = pipeline_.assemble_epoch(
           *topo_, chains_, std::move(domain_classes[d]), std::move(plans[d]));
+      dom.epoch.store = traffic::build_class_store(dom.epoch.classes);
       core::PlacementInput input{topo_, dom.epoch.classes, chains_};
       core::RuleGenerator().install(input, dom.epoch.subclasses,
                                     dom.epoch.inventory, dom.dp);
@@ -226,7 +228,8 @@ ApplyReport MultiDomainController::apply(const PolicyBatch& batch) {
     bool dirty = false;
     bool ok = false;
     bool granted = false;
-    std::vector<traffic::TrafficClass> next_classes;
+    std::vector<traffic::TrafficClass> next_classes;  // key-sorted
+    traffic::ClassStore next_store;
     core::IncrementalEpoch inc;
   };
   std::vector<Proposal> props(K);
@@ -289,16 +292,20 @@ ApplyReport MultiDomainController::apply(const PolicyBatch& batch) {
     for (auto& [key, cls] : next) p.next_classes.push_back(std::move(cls));
   }
 
-  // Phase 1 — propose: dirty domains run their incremental pipelines
-  // concurrently; the previous epochs keep serving untouched.
+  // Phase 1 — propose: dirty domains build their next one-shard stores and
+  // run their incremental pipelines concurrently; the previous epochs keep
+  // serving untouched. The fold's lists are key-sorted, so a throw from the
+  // store build is a bug, not a conflict.
   {
     APPLE_OBS_SPAN("ctrl.domain.propose");
     for_each_domain([&](std::size_t d) {
       Proposal& p = props[d];
       if (!p.dirty) return;
+      p.next_store = traffic::build_class_store(p.next_classes);
       try {
+        // advance takes a copy: a conflict's re-solve needs the store again.
         p.inc = pipeline_.advance(domains_[d].epoch, *topo_, chains_,
-                                  p.next_classes);
+                                  p.next_store);
         p.ok = true;
       } catch (const std::runtime_error&) {
         p.ok = false;  // infeasible even after full recompute -> conflict
@@ -308,12 +315,13 @@ ApplyReport MultiDomainController::apply(const PolicyBatch& batch) {
   notify("proposed");
 
   // Phase 2 — reconcile in domain-id order. A conflicted domain is
-  // re-solved over the residual budgets (kResolve) or bounced back to its
-  // previous epoch (kReject). A bounced domain's old usage is charged to
-  // the ledger at its turn, so later domains see what actually keeps
-  // serving; grants made before the bounce may leave a node transiently
-  // oversubscribed until the domain's next successful epoch — capacity
-  // converges, correctness (chains) never degrades.
+  // re-solved over the residual budgets, and bounced back to its previous
+  // epoch when that re-solve is infeasible or still does not fit. A
+  // bounced domain's old usage is charged to the ledger at its turn, so
+  // later domains see what actually keeps serving; grants made before the
+  // bounce may leave a node transiently oversubscribed until the domain's
+  // next successful epoch — capacity converges, correctness (chains) never
+  // degrades.
   std::vector<double> residual(topo_->num_nodes());
   for (net::NodeId v = 0; v < residual.size(); ++v) {
     residual[v] = topo_->node(v).host_cores;
@@ -340,17 +348,14 @@ ApplyReport MultiDomainController::apply(const PolicyBatch& batch) {
         ++report.conflicts;
         ++domains_[d].conflicts;
         APPLE_OBS_COUNT("ctrl.domain.conflicts");
-        p.ok = false;
-        if (config_.conflict_policy == ConflictPolicy::kResolve) {
-          const net::Topology masked = topo_->with_host_budgets(residual);
-          try {
-            p.inc = pipeline_.advance(domains_[d].epoch, masked, chains_,
-                                      std::move(p.next_classes));
-            usage = usage_of(p.inc.epoch.plan);
-            p.ok = fits(usage, residual);
-          } catch (const std::runtime_error&) {
-            p.ok = false;
-          }
+        const net::Topology masked = topo_->with_host_budgets(residual);
+        try {
+          p.inc = pipeline_.advance(domains_[d].epoch, masked, chains_,
+                                    std::move(p.next_store));
+          usage = usage_of(p.inc.epoch.plan);
+          p.ok = fits(usage, residual);
+        } catch (const std::runtime_error&) {
+          p.ok = false;
         }
         if (!p.ok) {
           ++report.rejected_domains;

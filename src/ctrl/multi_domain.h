@@ -9,8 +9,8 @@
 //   reconcile — the coordinator walks domains in ascending id order
 //               against a residual per-node core ledger; a domain whose
 //               claim no longer fits is re-solved over the residual
-//               budgets (ConflictPolicy::kResolve) or bounced back to its
-//               previous epoch (kReject);
+//               budgets, and bounced back to its previous epoch when even
+//               that re-solve is infeasible or does not fit;
 //   commit    — only after every grant are the per-domain data planes
 //               patched, so mid-reconcile the old epochs keep serving and
 //               no packet ever sees a partial chain.
@@ -18,7 +18,10 @@
 // Classes are homed by ingress node (DomainPartition::home_domain); a
 // cross-domain chain — its path crossing the cut — is still owned by one
 // controller, whose placement may land instances on foreign nodes. That is
-// exactly the conflict the reconcile ledger arbitrates.
+// exactly the conflict the reconcile ledger arbitrates. Every domain epoch
+// is store-backed: the domain's classes, sorted by (src, dst, chain), sit
+// in a one-shard traffic::ClassStore in that order, so the incremental
+// pipeline diffs them like any other epoch's.
 //
 // Determinism contract: for a fixed (topology, chains, config, request
 // trace), every artifact — epochs, plans, rule state, fingerprint() — is
@@ -95,9 +98,9 @@ class MultiDomainController {
 
   // Initial bring-up: homes `classes` (ids reassigned per domain), places
   // every domain, reconciles, and installs the per-domain data planes.
-  // Conflicts during bring-up are always re-solved regardless of the
-  // conflict policy (there is no previous epoch to fall back to); throws
-  // std::runtime_error when a domain stays infeasible even then.
+  // Conflicts are re-solved over the residual budgets as in apply; with no
+  // previous epoch to bounce back to, throws std::runtime_error when a
+  // domain stays infeasible even then.
   ApplyReport initialize(std::vector<traffic::TrafficClass> classes);
 
   // Two-phase commits one admission batch (see header comment). Domains

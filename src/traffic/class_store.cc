@@ -1,5 +1,6 @@
 #include "traffic/class_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -26,17 +27,13 @@ inline std::uint64_t rate_bits(double rate) {
   return bits;
 }
 
-// Runs body(i) for every i in [0, count): serially, on an external pool, or
-// on a freshly spawned pool of `num_workers` lanes. The three paths produce
-// identical results because every body writes only slot i's output.
-void for_each_index(std::size_t count, std::size_t num_workers,
-                    exec::ThreadPool* pool,
+// Runs body(i) for every i in [0, count): on the pool when given one,
+// serially otherwise. Both produce identical results because every body
+// writes only slot i's output.
+void for_each_index(std::size_t count, exec::ThreadPool* pool,
                     const std::function<void(std::size_t)>& body) {
   if (pool != nullptr) {
     exec::parallel_for(*pool, 0, count, body);
-  } else if (num_workers > 1) {
-    exec::ThreadPool local(num_workers - 1);
-    exec::parallel_for(local, 0, count, body);
   } else {
     for (std::size_t i = 0; i < count; ++i) body(i);
   }
@@ -107,10 +104,9 @@ std::uint64_t ClassStore::fingerprint() const {
   return h;
 }
 
-std::vector<TrafficClass> ClassStore::materialize_view(
-    exec::ThreadPool* pool) const {
+std::vector<TrafficClass> ClassStore::materialize_view() const {
   std::vector<TrafficClass> view(total_);
-  const auto fill_shard = [&](std::size_t s) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& sh = shards_[s];
     const std::size_t offset = offsets_[s];
     for (std::size_t i = 0; i < sh.size(); ++i) {
@@ -123,8 +119,7 @@ std::vector<TrafficClass> ClassStore::materialize_view(
       const std::span<const net::NodeId> nodes = paths_.nodes(sh.paths[i]);
       cls.path.assign(nodes.begin(), nodes.end());
     }
-  };
-  for_each_index(shards_.size(), 1, pool, fill_shard);
+  }
   return view;
 }
 
@@ -184,7 +179,7 @@ ClassStore build_class_store(const net::Topology& topo,
       out.push_back(std::move(entry));
     }
   };
-  for_each_index(n, options.num_workers, options.pool, scan_row);
+  for_each_index(n, options.pool, scan_row);
 
   // Phase 2a — serial path interning in scan order (one intern per OD
   // pair; cheap relative to the class appends below).
@@ -219,8 +214,7 @@ ClassStore build_class_store(const net::Topology& topo,
       }
     }
   };
-  for_each_index(options.num_shards, options.num_workers, options.pool,
-                 fill_shard);
+  for_each_index(options.num_shards, options.pool, fill_shard);
 
   // Phase 3 — shard offsets, then dense ids along the stable iteration
   // order (per-shard fill, embarrassingly parallel).
@@ -236,44 +230,61 @@ ClassStore build_class_store(const net::Topology& topo,
       shard.ids[i] = static_cast<ClassId>(offset + i);
     }
   };
-  for_each_index(options.num_shards, options.num_workers, options.pool,
-                 fill_ids);
+  for_each_index(options.num_shards, options.pool, fill_ids);
 
   APPLE_OBS_COUNT_N("traffic.classes.built", store.total_);
   APPLE_OBS_COUNT_N("traffic.store.paths_interned", store.paths_.size());
   return store;
 }
 
-void RateAgingOptions::validate() const {
-  if (!(decay >= 0.0 && decay <= 1.0)) {  // also rejects NaN
-    throw std::invalid_argument("RateAgingOptions.decay must lie in [0, 1]");
+ClassStore build_class_store(std::span<const TrafficClass> classes) {
+  APPLE_OBS_SPAN("traffic.store.build");
+  ClassStore store;
+  store.shards_.resize(1);
+  ClassStore::Shard& sh = store.shards_[0];
+  sh.ids.reserve(classes.size());
+  sh.srcs.reserve(classes.size());
+  sh.dsts.reserve(classes.size());
+  sh.chains.reserve(classes.size());
+  sh.paths.reserve(classes.size());
+  sh.rates.reserve(classes.size());
+  PathId path_id = kNoPathId;  // the current pair's interned path
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    const TrafficClass& cls = classes[i];
+    const bool new_pair = i == 0 || cls.src != classes[i - 1].src ||
+                          cls.dst != classes[i - 1].dst;
+    if (new_pair) {
+      if (i > 0 && std::pair(cls.src, cls.dst) <
+                       std::pair(classes[i - 1].src, classes[i - 1].dst)) {
+        throw std::invalid_argument(
+            "build_class_store: (src, dst) order descends");
+      }
+      path_id = store.paths_.intern(cls.src, cls.dst, cls.path);
+    } else {
+      const std::span<const net::NodeId> interned = store.paths_.nodes(path_id);
+      if (!std::equal(interned.begin(), interned.end(), cls.path.begin(),
+                      cls.path.end())) {
+        throw std::invalid_argument(
+            "build_class_store: one (src, dst) pair carries two paths");
+      }
+    }
+    sh.ids.push_back(cls.id);
+    sh.srcs.push_back(cls.src);
+    sh.dsts.push_back(cls.dst);
+    sh.chains.push_back(cls.chain_id);
+    sh.paths.push_back(path_id);
+    sh.rates.push_back(cls.rate_mbps);
   }
-  if (!(min_class_rate_mbps >= 0.0) ||
-      min_class_rate_mbps > 1e30) {  // also rejects NaN / inf
-    throw std::invalid_argument(
-        "RateAgingOptions.min_class_rate_mbps must be finite and >= 0");
-  }
+  store.offsets_ = {0, classes.size()};
+  store.total_ = classes.size();
+  APPLE_OBS_COUNT_N("traffic.store.paths_interned", store.paths_.size());
+  return store;
 }
 
 void update_rates(ClassStore& store, const TrafficMatrix& tm,
-                  const ChainAssignment& chains_for, exec::ThreadPool* pool) {
-  update_rates(store, tm, chains_for, RateAgingOptions{}, pool);
-}
-
-std::size_t update_rates(ClassStore& store, const TrafficMatrix& tm,
-                         const ChainAssignment& chains_for,
-                         const RateAgingOptions& aging,
-                         exec::ThreadPool* pool) {
+                  const ChainAssignment& chains_for) {
   APPLE_OBS_SPAN("traffic.store.update_rates");
-  aging.validate();
-  if (store.num_shards() == 0) return 0;
-  const double decay = aging.decay;
-  const double floor = aging.min_class_rate_mbps;
-  // One eviction count per shard: every lane writes only its own slots, so
-  // the fan-out is worker-count-invariant like the build's.
-  std::vector<std::size_t> evicted(store.num_shards(), 0);
-  const auto rerate_shard = [&](std::size_t s) {
-    ClassStore::Shard& sh = store.shards_[s];
+  for (ClassStore::Shard& sh : store.shards_) {
     // Shards iterate in ascending (src, dst) order, so one pair's
     // classes are consecutive: a last-pair memo gives exactly one
     // assignment lookup per OD pair.
@@ -281,7 +292,6 @@ std::size_t update_rates(ClassStore& store, const TrafficMatrix& tm,
     std::uint64_t last_key = kNoPair;
     ChainMix mix;
     double demand = 0.0;
-    std::size_t keep = 0;
     for (std::size_t i = 0; i < sh.size(); ++i) {
       const std::uint64_t key =
           (static_cast<std::uint64_t>(sh.srcs[i]) << 32) | sh.dsts[i];
@@ -294,36 +304,9 @@ std::size_t update_rates(ClassStore& store, const TrafficMatrix& tm,
       for (const auto& [chain, sshare] : mix) {
         if (chain == sh.chains[i]) share += sshare;
       }
-      const double fresh = demand * share;
-      const double aged =
-          decay == 0.0 ? fresh : decay * sh.rates[i] + (1.0 - decay) * fresh;
-      if (floor > 0.0 && aged < floor) continue;  // evict
-      sh.ids[keep] = sh.ids[i];
-      sh.srcs[keep] = sh.srcs[i];
-      sh.dsts[keep] = sh.dsts[i];
-      sh.chains[keep] = sh.chains[i];
-      sh.paths[keep] = sh.paths[i];
-      sh.rates[keep] = aged;
-      ++keep;
+      sh.rates[i] = demand * share;
     }
-    evicted[s] = sh.size() - keep;
-    sh.ids.resize(keep);
-    sh.srcs.resize(keep);
-    sh.dsts.resize(keep);
-    sh.chains.resize(keep);
-    sh.paths.resize(keep);
-    sh.rates.resize(keep);
-  };
-  for_each_index(store.num_shards(), 1, pool, rerate_shard);
-
-  std::size_t dropped = 0;
-  for (std::size_t s = 0; s < store.num_shards(); ++s) {
-    dropped += evicted[s];
-    store.offsets_[s + 1] = store.offsets_[s] + store.shards_[s].size();
   }
-  store.total_ = store.offsets_[store.num_shards()];
-  APPLE_OBS_COUNT_N("traffic.store.classes_aged_out", dropped);
-  return dropped;
 }
 
 }  // namespace apple::traffic

@@ -1,12 +1,12 @@
 // Sharded, arena-backed SoA store for traffic equivalence classes — the
-// canonical class representation at 100k+ class scale (ROADMAP million-flow
-// item; DESIGN.md Sec. 15).
+// only class container of the control loop (DESIGN.md Sec. 15): every
+// epoch carries one, and the engine reads its materialized view.
 //
 // Layout:
 //  * Classes live in `num_shards` shards, partitioned deterministically by
 //    a SplitMix64 hash of the (ingress, egress) pair — every class of one
 //    OD pair lands in one shard, so incremental diffs can skip shards whose
-//    traffic did not move (core::diff_classes store overload).
+//    traffic did not move (core::diff_classes).
 //  * Each shard is structure-of-arrays: ids / srcs / dsts / chain ids /
 //    path ids / rates in parallel vectors, so re-rating and diffing scan
 //    dense homogeneous arrays instead of striding over an AoS struct with
@@ -16,14 +16,18 @@
 //    classes of the same pair share one PathId instead of owning a
 //    std::vector<NodeId> copy each.
 //
+// Two builders: the traffic-matrix build below, and a one-shard build over
+// an explicit class list that keeps the list's order and ids (the
+// multi-domain controller's per-domain stores; small hand-built cases).
+//
 // Determinism contract: the store's iteration order — shard 0..S-1, within
 // a shard ascending (src, dst) scan order with one pair's classes in its
 // chain mix's order — and the dense class ids assigned along it are a pure
-// function of (topology, matrix, assignment, options.num_shards). The
-// parallel build fans the OD scan and the per-shard assembly out over
-// exec::parallel_for with per-slot output buffers merged in deterministic
-// order, so the result is byte-identical to the serial build for every
-// worker count (gated by bench_class_scale across {1,2,4,8}).
+// function of (topology, matrix, assignment, options.num_shards). On a
+// pool the matrix build fans the OD scan and the per-shard assembly out
+// over exec::parallel_for with per-slot output buffers merged in
+// deterministic order, so the result is byte-identical to the serial build
+// for every pool width (gated by bench_class_scale across {1,2,4,8}).
 #pragma once
 
 #include <cstdint>
@@ -85,36 +89,13 @@ struct StoreBuildOptions {
   // Shard count of the resulting store. Part of the store's identity: two
   // stores are only diffable shard-against-shard when their counts match.
   std::size_t num_shards = 64;
-  // Worker lanes for the parallel build; 1 builds serially. Ignored when
-  // `pool` is set.
-  std::size_t num_workers = 1;
   // Optional external pool to run on (e.g. the bench's long-lived pool, so
   // thread spawn cost stays out of the measured section). The build then
-  // uses pool->num_threads() + 1 lanes.
+  // uses pool->num_threads() + 1 lanes; null builds serially.
   exec::ThreadPool* pool = nullptr;
   // OD pairs (and per-chain class rates) below this are dropped, matching
   // build_classes.
   double min_rate_mbps = 1e-6;
-};
-
-// Exponential rate aging for the online re-rating path (ROADMAP PR 9
-// leftover): long-lived stores that are re-rated snapshot after snapshot
-// age each class's rate instead of adopting the snapshot outright, and
-// classes whose aged rate decays below a floor are evicted so they surface
-// as `removed` in the next core::diff_classes instead of pinning their
-// shard dirty forever at a near-zero rate.
-struct RateAgingOptions {
-  // aged = decay * previous + (1 - decay) * snapshot. 0 adopts the snapshot
-  // rate outright (the plain update_rates semantics); values toward 1 give
-  // the history more weight. Must lie in [0, 1].
-  double decay = 0.0;
-  // Classes whose aged rate falls below this are dropped from the store.
-  // 0 never drops (pure EWMA smoothing).
-  double min_class_rate_mbps = 0.0;
-
-  // Throws std::invalid_argument when decay is outside [0, 1] or the rate
-  // floor is negative or non-finite.
-  void validate() const;
 };
 
 // The sharded class container. Build with build_class_store; mutate only
@@ -161,11 +142,10 @@ class ClassStore {
   // bench_class_scale and the serial-vs-parallel tests.
   std::uint64_t fingerprint() const;
 
-  // Flat AoS compatibility view in stable iteration order (span-of-struct
-  // for PlacementInput and every other legacy consumer); paths are
-  // materialized as owned copies. Fans out per shard when given a pool.
-  std::vector<TrafficClass> materialize_view(
-      exec::ThreadPool* pool = nullptr) const;
+  // Flat AoS view in stable iteration order (span-of-struct for
+  // PlacementInput and the other engine stages); paths are materialized as
+  // owned copies.
+  std::vector<TrafficClass> materialize_view() const;
 
   // Rewrites one class id (epoch pipeline id carry-over: survivors keep
   // their previous epoch's id, added classes take fresh ones).
@@ -179,13 +159,9 @@ class ClassStore {
                                       const TrafficMatrix& tm,
                                       const ChainAssignment& chains_for,
                                       const StoreBuildOptions& options);
+  friend ClassStore build_class_store(std::span<const TrafficClass> classes);
   friend void update_rates(ClassStore& store, const TrafficMatrix& tm,
-                           const ChainAssignment& chains_for,
-                           exec::ThreadPool* pool);
-  friend std::size_t update_rates(ClassStore& store, const TrafficMatrix& tm,
-                                  const ChainAssignment& chains_for,
-                                  const RateAgingOptions& aging,
-                                  exec::ThreadPool* pool);
+                           const ChainAssignment& chains_for);
 
   std::vector<Shard> shards_;
   std::vector<std::size_t> offsets_;  // shards_.size() + 1 prefix sums
@@ -197,31 +173,26 @@ class ClassStore {
 // build_classes (OD scan, min-rate filtering, unreachable pairs skipped),
 // different canonical order — shard-major instead of row-major — with dense
 // ids assigned along the stable iteration order. `chains_for` must be safe
-// to call concurrently when building with more than one worker.
+// to call concurrently when `options.pool` is set.
 ClassStore build_class_store(const net::Topology& topo,
                              const net::AllPairsPaths& routing,
                              const TrafficMatrix& tm,
                              const ChainAssignment& chains_for,
                              const StoreBuildOptions& options = {});
 
-// Re-rates the store in place against a different snapshot (ids, paths and
-// chains preserved), one assignment lookup per OD pair. Fans out per shard
-// when given a pool; per-shard output is independent, so the result is
-// identical for every worker count.
-void update_rates(ClassStore& store, const TrafficMatrix& tm,
-                  const ChainAssignment& chains_for,
-                  exec::ThreadPool* pool = nullptr);
+// One-shard store over an explicit class list, e.g. a multi-domain
+// controller's key-sorted domain slice or a hand-built test case: the
+// classes keep their given order and ids, and each (src, dst) pair's path
+// is interned once. Throws std::invalid_argument when the (src, dst) order
+// ever descends (the store diff merges ascending pair runs) or when one
+// pair carries two different paths. Counts nothing in
+// traffic.classes.built: the classes were built elsewhere.
+ClassStore build_class_store(std::span<const TrafficClass> classes);
 
-// Aging re-rate: each class's rate becomes the exponentially weighted
-// blend of its previous rate and the snapshot rate, and classes whose aged
-// rate drops below `aging.min_class_rate_mbps` are evicted in place (shard
-// arrays compacted, offsets recomputed; surviving classes keep their ids
-// and relative order, so the store diffs against its pre-aging self as
-// plain removals). Returns the number of classes evicted. Per-shard work
-// is independent — identical result for every worker count.
-std::size_t update_rates(ClassStore& store, const TrafficMatrix& tm,
-                         const ChainAssignment& chains_for,
-                         const RateAgingOptions& aging,
-                         exec::ThreadPool* pool = nullptr);
+// Re-rates the store in place against a different snapshot (ids, paths,
+// chains and order preserved), one assignment lookup per OD pair. A class
+// whose chain left its pair's mix is re-rated to 0, never dropped.
+void update_rates(ClassStore& store, const TrafficMatrix& tm,
+                  const ChainAssignment& chains_for);
 
 }  // namespace apple::traffic

@@ -1,6 +1,6 @@
 #include "traffic/flow_classes.h"
 
-#include <map>
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -93,34 +93,6 @@ std::vector<TrafficClass> build_classes(const net::Topology& topo,
   }
   APPLE_OBS_COUNT_N("traffic.classes.built", classes.size());
   return classes;
-}
-
-void update_rates(std::span<TrafficClass> classes, const TrafficMatrix& tm,
-                  const ChainAssignment& chains_for) {
-  // One assignment lookup per OD pair, not per class: class sets are
-  // (src, dst)-sorted in practice, so the last-pair fast path covers almost
-  // every class; the memo map catches interleaved orders.
-  constexpr std::uint64_t kNoPair = ~0ULL;
-  std::uint64_t last_key = kNoPair;
-  const ChainMix* mix = nullptr;
-  std::map<std::uint64_t, ChainMix> memo;
-  for (TrafficClass& c : classes) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(c.src) << 32) | c.dst;
-    if (key != last_key) {
-      auto it = memo.find(key);
-      if (it == memo.end()) {
-        it = memo.emplace(key, chains_for(c.src, c.dst)).first;
-      }
-      mix = &it->second;
-      last_key = key;
-    }
-    double share = 0.0;
-    for (const auto& [chain, s] : *mix) {
-      if (chain == c.chain_id) share += s;
-    }
-    c.rate_mbps = tm.at(c.src, c.dst) * share;
-  }
 }
 
 double total_rate(std::span<const TrafficClass> classes) {

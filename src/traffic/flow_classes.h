@@ -7,9 +7,11 @@
 // packet-level classification into these classes is done by the atomic
 // predicate machinery in src/hsa.
 //
-// The flat `build_classes` below is the simple serial assembly kept for
-// small scenarios and as the reference semantics; the sharded, parallel
-// canonical representation lives in traffic/class_store.h.
+// `TrafficClass` is one class as the engine reads it (PlacementInput spans
+// them). The only class container is traffic::ClassStore
+// (traffic/class_store.h); the flat `build_classes` below is the serial
+// reference semantics of its matrix build and the input of callers that
+// hand a class list to the multi-domain controller.
 #pragma once
 
 #include <cstdint>
@@ -95,14 +97,6 @@ std::vector<TrafficClass> build_classes(const net::Topology& topo,
                                         const TrafficMatrix& tm,
                                         const ChainAssignment& chains_for,
                                         double min_rate_mbps = 1e-6);
-
-// Re-rates an existing class set against a different snapshot, preserving
-// ids, paths and chains (used when replaying time-varying matrices over a
-// placement computed from the mean matrix). The assignment is consulted
-// once per OD pair, not once per class: consecutive classes of one pair
-// share the lookup, and a small memo covers interleaved orders.
-void update_rates(std::span<TrafficClass> classes, const TrafficMatrix& tm,
-                  const ChainAssignment& chains_for);
 
 // Total policied demand over all classes.
 double total_rate(std::span<const TrafficClass> classes);

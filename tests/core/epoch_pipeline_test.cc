@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -94,23 +97,94 @@ void install_epoch(const Epoch& epoch, dataplane::DataPlane& dp) {
   }
 }
 
+// A hand-built class list as the one-shard store the pipeline takes: same
+// order, same ids.
+traffic::ClassStore store_of(
+    const std::vector<traffic::TrafficClass>& classes) {
+  return traffic::build_class_store(classes);
+}
+
+// Reference matcher the store diff is pinned to: a class matches the first
+// prev class with its (src, dst, chain) key, and only when their paths are
+// equal (a reroute is remove + add); a matched class whose rate drifted
+// more than the threshold is rate-changed, otherwise pinned.
+ClassDelta keyed_diff(std::span<const traffic::TrafficClass> prev,
+                      std::span<const traffic::TrafficClass> next,
+                      const ClassDeltaOptions& options = {}) {
+  std::map<std::array<std::uint64_t, 3>, std::size_t> index;
+  for (std::size_t p = 0; p < prev.size(); ++p) {
+    index.emplace(std::array<std::uint64_t, 3>{prev[p].src, prev[p].dst,
+                                               prev[p].chain_id},
+                  p);
+  }
+  ClassDelta delta;
+  delta.prev_of.assign(next.size(), kNoClass);
+  std::vector<bool> matched(prev.size(), false);
+  for (std::size_t h = 0; h < next.size(); ++h) {
+    const traffic::TrafficClass& cls = next[h];
+    const auto it = index.find({cls.src, cls.dst, cls.chain_id});
+    if (it == index.end() || prev[it->second].path != cls.path) {
+      delta.added.push_back(h);
+      continue;
+    }
+    const std::size_t p = it->second;
+    matched[p] = true;
+    delta.prev_of[h] = p;
+    const double prev_rate = prev[p].rate_mbps;
+    const double base = std::max(std::abs(prev_rate), options.zero_rate_mbps);
+    if (std::abs(cls.rate_mbps - prev_rate) / base >
+        options.rate_change_threshold) {
+      delta.rate_changed.push_back(h);
+    } else {
+      delta.unchanged.push_back(h);
+    }
+  }
+  for (std::size_t p = 0; p < prev.size(); ++p) {
+    if (!matched[p]) delta.removed.push_back(p);
+  }
+  return delta;
+}
+
+void expect_same_buckets(const ClassDelta& store, const ClassDelta& oracle) {
+  EXPECT_EQ(store.added, oracle.added);
+  EXPECT_EQ(store.removed, oracle.removed);
+  EXPECT_EQ(store.rate_changed, oracle.rate_changed);
+  EXPECT_EQ(store.unchanged, oracle.unchanged);
+  EXPECT_EQ(store.prev_of, oracle.prev_of);
+}
+
+// Diffs two hand-built class lists as one-shard stores (which keep the
+// lists' order, so indices are list indices) and checks the result against
+// the keyed oracle.
+ClassDelta diff_lists(const std::vector<traffic::TrafficClass>& prev,
+                      const std::vector<traffic::TrafficClass>& next,
+                      const ClassDeltaOptions& options = {}) {
+  const ClassDelta delta =
+      diff_classes(traffic::build_class_store(prev),
+                   traffic::build_class_store(next), options);
+  expect_same_buckets(delta, keyed_diff(prev, next, options));
+  EXPECT_EQ(delta.shards_dirty + delta.shards_clean, 1u);
+  return delta;
+}
+
 TEST(DiffClasses, ClassifiesAddedRemovedChangedPinned) {
   std::vector<traffic::TrafficClass> prev(3);
-  prev[0] = {0, 0, 2, {0, 1, 2}, 0, 100.0};   // survives, small drift
-  prev[1] = {1, 1, 2, {1, 2}, 0, 200.0};      // survives, large drift
-  prev[2] = {2, 0, 1, {0, 1}, 1, 50.0};       // removed
+  prev[0] = {2, 0, 1, {0, 1}, 1, 50.0};       // removed
+  prev[1] = {0, 0, 2, {0, 1, 2}, 0, 100.0};   // survives, small drift
+  prev[2] = {1, 1, 2, {1, 2}, 0, 200.0};      // survives, large drift
   std::vector<traffic::TrafficClass> next(3);
   next[0] = {0, 0, 2, {0, 1, 2}, 0, 102.0};   // 2% drift -> pinned
   next[1] = {1, 1, 2, {1, 2}, 0, 300.0};      // 50% drift -> dirty
   next[2] = {9, 2, 0, {2, 1, 0}, 1, 75.0};    // new identity -> added
 
-  const ClassDelta delta = diff_classes(prev, next, {.rate_change_threshold = 0.05});
+  const ClassDelta delta =
+      diff_lists(prev, next, {.rate_change_threshold = 0.05});
   EXPECT_EQ(delta.unchanged, (std::vector<std::size_t>{0}));
   EXPECT_EQ(delta.rate_changed, (std::vector<std::size_t>{1}));
   EXPECT_EQ(delta.added, (std::vector<std::size_t>{2}));
-  EXPECT_EQ(delta.removed, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(delta.removed, (std::vector<std::size_t>{0}));
   EXPECT_EQ(delta.prev_of,
-            (std::vector<std::size_t>{0, 1, kNoClass}));
+            (std::vector<std::size_t>{1, 2, kNoClass}));
   EXPECT_EQ(delta.dirty_count(), 2u);
   EXPECT_FALSE(delta.empty());
 }
@@ -121,7 +195,7 @@ TEST(DiffClasses, ReroutedClassIsRemovePlusAdd) {
   std::vector<traffic::TrafficClass> next(1);
   next[0] = {0, 0, 2, {0, 2}, 0, 100.0};  // same identity, new path
 
-  const ClassDelta delta = diff_classes(prev, next);
+  const ClassDelta delta = diff_lists(prev, next);
   EXPECT_EQ(delta.added, (std::vector<std::size_t>{0}));
   EXPECT_EQ(delta.removed, (std::vector<std::size_t>{0}));
   EXPECT_TRUE(delta.unchanged.empty());
@@ -133,10 +207,10 @@ TEST(DiffClasses, ThresholdZeroMarksAnyDriftDirty) {
   std::vector<traffic::TrafficClass> next(1);
   next[0] = {0, 0, 2, {0, 1, 2}, 0, 100.0001};
 
-  EXPECT_EQ(diff_classes(prev, next, {.rate_change_threshold = 0.0})
+  EXPECT_EQ(diff_lists(prev, next, {.rate_change_threshold = 0.0})
                 .rate_changed.size(),
             1u);
-  EXPECT_EQ(diff_classes(prev, next).unchanged.size(), 1u);
+  EXPECT_EQ(diff_lists(prev, next).unchanged.size(), 1u);
 }
 
 // Store-based diff scenario: Internet2 gravity traffic in an 8-shard store,
@@ -171,16 +245,9 @@ TEST(DiffClassesStore, MatchesFlatDiffBucketForBucket) {
   const traffic::ClassStore next = sc.build(sc.perturbed_shard0());
 
   const ClassDelta sharded = diff_classes(prev, next);
-  const ClassDelta flat =
-      diff_classes(prev.materialize_view(), next.materialize_view());
-  EXPECT_EQ(sharded.added, flat.added);
-  EXPECT_EQ(sharded.removed, flat.removed);
-  EXPECT_EQ(sharded.rate_changed, flat.rate_changed);
-  EXPECT_EQ(sharded.unchanged, flat.unchanged);
-  EXPECT_EQ(sharded.prev_of, flat.prev_of);
-  // The flat path never touches shard accounting; the store path diffs only
-  // the one shard whose traffic moved.
-  EXPECT_EQ(flat.shards_dirty + flat.shards_clean, 0u);
+  expect_same_buckets(
+      sharded, keyed_diff(prev.materialize_view(), next.materialize_view()));
+  // Only the one shard whose traffic moved is diffed class by class.
   EXPECT_EQ(sharded.shards_dirty, 1u);
   EXPECT_EQ(sharded.shards_clean, 7u);
   EXPECT_FALSE(sharded.rate_changed.empty());
@@ -189,7 +256,7 @@ TEST(DiffClassesStore, MatchesFlatDiffBucketForBucket) {
 // Prev and next differ inside OD pairs, not only in rates: a second chain
 // assignment drops and adds chains on a third of the pairs, a link down in
 // next's routing reroutes every pair that crossed it, and some mixes name
-// one chain twice. The store diff must still match the flat diff bucket
+// one chain twice. The store diff must still match the keyed oracle bucket
 // for bucket.
 TEST(DiffClassesStore, MatchesFlatDiffWhenPairsChangeChainsAndRoutes) {
   const StoreScenario sc;
@@ -216,13 +283,8 @@ TEST(DiffClassesStore, MatchesFlatDiffWhenPairsChangeChainsAndRoutes) {
       cut, rerouted, sc.perturbed_shard0(), after, sc.opt);
 
   const ClassDelta sharded = diff_classes(prev, next);
-  const ClassDelta flat =
-      diff_classes(prev.materialize_view(), next.materialize_view());
-  EXPECT_EQ(sharded.added, flat.added);
-  EXPECT_EQ(sharded.removed, flat.removed);
-  EXPECT_EQ(sharded.rate_changed, flat.rate_changed);
-  EXPECT_EQ(sharded.unchanged, flat.unchanged);
-  EXPECT_EQ(sharded.prev_of, flat.prev_of);
+  expect_same_buckets(
+      sharded, keyed_diff(prev.materialize_view(), next.materialize_view()));
   EXPECT_EQ(sharded.shards_dirty, 8u);
   // Every bucket is exercised, and some next classes share a prev class
   // (the duplicated chain of an unchanged pair).
@@ -250,18 +312,24 @@ TEST(DiffClassesStore, IdenticalStoresAreAllCleanShards) {
   EXPECT_EQ(delta.unchanged.size(), prev.size());
 }
 
+// run(store) is place + assemble_epoch over the store's view, the path a
+// caller that places the view itself takes (and then sets `store`).
 TEST(EpochPipeline, StoreRunMatchesFlatRun) {
   const StoreScenario sc;
   const std::vector<vnf::PolicyChain> chains{{NfType::kFirewall},
                                              {NfType::kNat, NfType::kIds}};
   traffic::ClassStore store = sc.build(sc.base);
   const EpochPipeline pipeline(options_for(PlacementStrategy::kGreedy));
-  const Epoch flat =
-      pipeline.run(sc.topo, chains, store.materialize_view());
+  std::vector<traffic::TrafficClass> view = store.materialize_view();
+  PlacementPlan plan =
+      OptimizationEngine(pipeline.options().engine)
+          .place(make_input(sc.topo, view, chains));
+  const Epoch flat = pipeline.assemble_epoch(sc.topo, chains, std::move(view),
+                                             std::move(plan));
   const Epoch stored = pipeline.run(sc.topo, chains, std::move(store));
-  // The store-based epoch keeps the sharded representation and its classes
-  // are the materialized view, so both paths see identical inputs.
+  // The epoch keeps the store, and its classes are the store's view.
   EXPECT_EQ(stored.store.size(), stored.classes.size());
+  EXPECT_EQ(stored.store.num_shards(), 8u);
   EXPECT_EQ(flat.store.size(), 0u);
   ASSERT_EQ(stored.classes.size(), flat.classes.size());
   for (std::size_t i = 0; i < flat.classes.size(); ++i) {
@@ -295,13 +363,12 @@ TEST(EpochPipeline, StoreAdvanceCarriesIdsAndSkipsCleanShards) {
     EXPECT_EQ(inc.epoch.classes[i].id, prev.classes[i].id);
   }
   EXPECT_EQ(inc.epoch.store.size(), inc.epoch.classes.size());
+  const std::vector<traffic::TrafficClass> stored =
+      inc.epoch.store.materialize_view();
+  for (std::size_t i = 0; i < prev.classes.size(); ++i) {
+    EXPECT_EQ(stored[i].id, prev.classes[i].id);
+  }
   EXPECT_EQ(inc.epoch.next_class_id, prev.next_class_id);
-  // The store advance must agree with the flat advance over the same data.
-  const IncrementalEpoch flat = pipeline.advance(
-      prev, sc.topo, chains, sc.build(sc.perturbed_shard0()).materialize_view());
-  EXPECT_EQ(inc.class_delta.rate_changed, flat.class_delta.rate_changed);
-  EXPECT_EQ(inc.epoch.plan.instance_count, flat.epoch.plan.instance_count);
-  EXPECT_EQ(inc.epoch.inventory.by_node_type, flat.epoch.inventory.by_node_type);
 }
 
 class PipelineStrategies
@@ -316,8 +383,9 @@ TEST_P(PipelineStrategies, AdvanceOnIdenticalTrafficHasZeroChurn) {
   classes[1] = {1, 0, 2, {0, 1, 2}, 1, 300.0};
 
   const EpochPipeline pipeline(options_for(GetParam()));
-  const Epoch prev = pipeline.run(topo, chains, classes);
-  const IncrementalEpoch inc = pipeline.advance(prev, topo, chains, classes);
+  const Epoch prev = pipeline.run(topo, chains, store_of(classes));
+  const IncrementalEpoch inc =
+      pipeline.advance(prev, topo, chains, store_of(classes));
 
   EXPECT_TRUE(inc.class_delta.empty());
   EXPECT_TRUE(inc.plan_delta.empty());
@@ -355,12 +423,12 @@ TEST(EpochPipeline, ChurnAccountingIsExact) {
   next_classes[1] = {7, 2, 0, {2, 1, 0}, 1, 400.0};   // new NAT user
 
   const EpochPipeline pipeline(options_for(PlacementStrategy::kGreedy));
-  const Epoch prev = pipeline.run(topo, chains, prev_classes);
+  const Epoch prev = pipeline.run(topo, chains, store_of(prev_classes));
   ASSERT_EQ(prev.plan.total_instances(), 2u);
   ASSERT_EQ(prev.next_instance_id, 3u);
 
   const IncrementalEpoch inc =
-      pipeline.advance(prev, topo, chains, next_classes);
+      pipeline.advance(prev, topo, chains, store_of(next_classes));
   EXPECT_EQ(inc.class_delta.rate_changed, (std::vector<std::size_t>{0}));
   EXPECT_EQ(inc.class_delta.added, (std::vector<std::size_t>{1}));
   EXPECT_EQ(inc.class_delta.removed, (std::vector<std::size_t>{1}));
@@ -409,9 +477,9 @@ TEST(EpochPipeline, PrefersReconfigureOverLaunch) {
   next_classes[0] = {0, 0, 2, {0, 1, 2}, 0, 1300.0};  // 2 FW, NAT gone
 
   const EpochPipeline pipeline(options_for(PlacementStrategy::kGreedy));
-  const Epoch prev = pipeline.run(topo, chains, prev_classes);
+  const Epoch prev = pipeline.run(topo, chains, store_of(prev_classes));
   const IncrementalEpoch inc =
-      pipeline.advance(prev, topo, chains, next_classes);
+      pipeline.advance(prev, topo, chains, store_of(next_classes));
 
   EXPECT_EQ(inc.plan_delta.instances_reconfigured, 1u);
   EXPECT_EQ(inc.plan_delta.instances_launched, 0u);
@@ -443,12 +511,12 @@ TEST(EpochPipeline, ExactIncrementalMatchesFullObjective) {
   next_classes[1].rate_mbps = 550.0;
 
   const EpochPipeline pipeline(options_for(PlacementStrategy::kExact));
-  const Epoch prev = pipeline.run(topo, chains, prev_classes);
+  const Epoch prev = pipeline.run(topo, chains, store_of(prev_classes));
   ASSERT_EQ(prev.plan.total_instances(), 1u);  // pooled hub firewall
 
   const IncrementalEpoch inc =
-      pipeline.advance(prev, topo, chains, next_classes);
-  const Epoch full = pipeline.run(topo, chains, next_classes);
+      pipeline.advance(prev, topo, chains, store_of(next_classes));
+  const Epoch full = pipeline.run(topo, chains, store_of(next_classes));
 
   // kExact re-proves optimality on the incremental path: same objective
   // and a valid plan, with the incumbent seeded from the previous epoch.
@@ -486,10 +554,10 @@ TEST(EpochPipeline, GreedyAndLpRoundIncrementalStayFeasible) {
     next_classes.pop_back();            // removed
 
     const EpochPipeline pipeline(options_for(strategy));
-    const Epoch prev = pipeline.run(topo, chains, prev_classes);
+    const Epoch prev = pipeline.run(topo, chains, store_of(prev_classes));
     const IncrementalEpoch inc =
-        pipeline.advance(prev, topo, chains, next_classes);
-    const Epoch full = pipeline.run(topo, chains, next_classes);
+        pipeline.advance(prev, topo, chains, store_of(next_classes));
+    const Epoch full = pipeline.run(topo, chains, store_of(next_classes));
 
     const PlacementInput input =
         make_input(topo, inc.epoch.classes, chains);
@@ -525,9 +593,9 @@ TEST(EpochPipeline, AppliedRuleDeltaMatchesFreshInstall) {
   next_classes[1] = {7, 2, 0, {2, 1, 0}, 1, 400.0};
 
   const EpochPipeline pipeline(options_for(PlacementStrategy::kGreedy));
-  const Epoch prev = pipeline.run(topo, chains, prev_classes);
+  const Epoch prev = pipeline.run(topo, chains, store_of(prev_classes));
   const IncrementalEpoch inc =
-      pipeline.advance(prev, topo, chains, next_classes);
+      pipeline.advance(prev, topo, chains, store_of(next_classes));
 
   dataplane::DataPlane fresh(topo);
   install_epoch(inc.epoch, fresh);
@@ -559,8 +627,8 @@ TEST(EpochPipeline, FallsBackToFullRecomputeWhenResidualFillFails) {
   next_classes[0].rate_mbps = 1500.0;  // needs a second FW: no cores left
 
   const EpochPipeline pipeline(options_for(PlacementStrategy::kGreedy));
-  const Epoch prev = pipeline.run(topo, chains, prev_classes);
-  EXPECT_THROW(pipeline.advance(prev, topo, chains, next_classes),
+  const Epoch prev = pipeline.run(topo, chains, store_of(prev_classes));
+  EXPECT_THROW(pipeline.advance(prev, topo, chains, store_of(next_classes)),
                std::runtime_error);
 }
 

@@ -220,7 +220,9 @@ TEST(OptimizationEngine, ReplacePinsUnchangedDistributions) {
   std::vector<traffic::TrafficClass> next_classes = prev_classes;
   next_classes[1].rate_mbps = 2000.0;  // dirty; class 0 stays pinned
   const PlacementInput next_input = make_input(topo, next_classes, chains);
-  const ClassDelta delta = diff_classes(prev_classes, next_classes);
+  const ClassDelta delta =
+      diff_classes(traffic::build_class_store(prev_classes),
+                   traffic::build_class_store(next_classes));
   ASSERT_EQ(delta.unchanged, (std::vector<std::size_t>{0}));
   ASSERT_EQ(delta.rate_changed, (std::vector<std::size_t>{1}));
 
@@ -249,7 +251,9 @@ TEST(OptimizationEngine, ReplaceReportsResidualInfeasibility) {
   std::vector<traffic::TrafficClass> next_classes = prev_classes;
   next_classes[0].rate_mbps = 5000.0;
   const PlacementInput next_input = make_input(topo, next_classes, chains);
-  const ClassDelta delta = diff_classes(prev_classes, next_classes);
+  const ClassDelta delta =
+      diff_classes(traffic::build_class_store(prev_classes),
+                   traffic::build_class_store(next_classes));
   const PlacementPlan next = engine.replace(next_input, prev, delta);
   EXPECT_FALSE(next.feasible);
   EXPECT_FALSE(next.infeasibility_reason.empty());

@@ -18,18 +18,11 @@ TEST(DomainConfigTest, ValidateRejectsZeroDomains) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
-TEST(DomainConfigTest, ValidateRejectsConflictPolicyOutsideEnum) {
-  DomainConfig config;
-  config.conflict_policy = static_cast<ConflictPolicy>(7);
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-}
-
 TEST(DomainConfigTest, ValidateAcceptsDefaults) {
   EXPECT_NO_THROW(DomainConfig{}.validate());
   DomainConfig config;
   config.num_domains = 4;
   config.seed = 42;
-  config.conflict_policy = ConflictPolicy::kReject;
   EXPECT_NO_THROW(config.validate());
 }
 

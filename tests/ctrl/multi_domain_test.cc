@@ -65,13 +65,13 @@ traffic::TrafficClass make_class(const net::AllPairsPaths& routing,
 }
 
 // A class per domain plus one whose path spans the cut (homed at domain 0
-// by the ingress rule).
+// by the ingress rule), in ascending (src, dst) order.
 std::vector<traffic::TrafficClass> triangle_classes(
     const net::AllPairsPaths& routing) {
   return {
       make_class(routing, 0, 2, 0, 500.0),  // domain 0 local, firewall
-      make_class(routing, 3, 5, 1, 500.0),  // domain 1 local, NAT
       make_class(routing, 1, 4, 2, 500.0),  // crosses the cut, IDS
+      make_class(routing, 3, 5, 1, 500.0),  // domain 1 local, NAT
   };
 }
 
@@ -91,7 +91,8 @@ TEST(MultiDomainTest, ReconciledPlanMatchesSingleControllerObjective) {
   const auto classes = triangle_classes(routing);
 
   const core::EpochPipeline pipeline;
-  const core::Epoch single = pipeline.run(topo, chains, classes);
+  const core::Epoch single =
+      pipeline.run(topo, chains, traffic::build_class_store(classes));
 
   MultiDomainController controller(topo, chains, triangle_partition(),
                                    DomainConfig{2});
@@ -250,9 +251,8 @@ struct ConflictFixture {
 
 TEST(MultiDomainTest, ConflictIsResolvedOverResidualBudgets) {
   ConflictFixture f;
-  DomainConfig config{2};
-  config.conflict_policy = ConflictPolicy::kResolve;
-  MultiDomainController controller(f.topo, f.chains, f.part, config);
+  MultiDomainController controller(f.topo, f.chains, f.part,
+                                   DomainConfig{2});
   const net::AllPairsPaths routing(f.topo);
   // The cross-cut class saturates node 3 (its only on-path host).
   controller.initialize({make_class(routing, 2, 3, 0, 800.0)});
@@ -288,11 +288,13 @@ TEST(MultiDomainTest, ConflictIsResolvedOverResidualBudgets) {
   expect_zero_violations(controller, monitor);
 }
 
+// With node 5 at 0 cores the re-solve over the residual budgets has no host
+// left either, so the conflicted domain bounces back to its previous epoch.
 TEST(MultiDomainTest, ConflictRejectKeepsPreviousEpochServing) {
   ConflictFixture f;
-  DomainConfig config{2};
-  config.conflict_policy = ConflictPolicy::kReject;
-  MultiDomainController controller(f.topo, f.chains, f.part, config);
+  f.topo.node(5).host_cores = 0.0;
+  MultiDomainController controller(f.topo, f.chains, f.part,
+                                   DomainConfig{2});
   const net::AllPairsPaths routing(f.topo);
   controller.initialize({make_class(routing, 2, 3, 0, 800.0)});
 
@@ -306,6 +308,118 @@ TEST(MultiDomainTest, ConflictRejectKeepsPreviousEpochServing) {
 
   fault::RecoveryMonitor monitor;
   expect_zero_violations(controller, monitor);
+}
+
+// Whole-epoch equality: classes (ids, keys, paths, rate bits), the plan's
+// instance counts and distributions, the inventory, every sub-class plan
+// and both id counters.
+void expect_same_epoch(const core::Epoch& a, const core::Epoch& b) {
+  ASSERT_EQ(a.classes.size(), b.classes.size());
+  for (std::size_t h = 0; h < a.classes.size(); ++h) {
+    EXPECT_EQ(a.classes[h].id, b.classes[h].id) << "class " << h;
+    EXPECT_EQ(a.classes[h].src, b.classes[h].src) << "class " << h;
+    EXPECT_EQ(a.classes[h].dst, b.classes[h].dst) << "class " << h;
+    EXPECT_EQ(a.classes[h].chain_id, b.classes[h].chain_id) << "class " << h;
+    EXPECT_EQ(a.classes[h].path, b.classes[h].path) << "class " << h;
+    EXPECT_EQ(a.classes[h].rate_mbps, b.classes[h].rate_mbps) << "class " << h;
+  }
+  EXPECT_EQ(a.store.num_shards(), b.store.num_shards());
+  EXPECT_EQ(a.store.fingerprint(), b.store.fingerprint());
+  EXPECT_EQ(a.plan.instance_count, b.plan.instance_count);
+  EXPECT_EQ(a.plan.distribution, b.plan.distribution);
+  EXPECT_EQ(a.inventory.by_node_type, b.inventory.by_node_type);
+  ASSERT_EQ(a.subclasses.size(), b.subclasses.size());
+  for (std::size_t h = 0; h < a.subclasses.size(); ++h) {
+    ASSERT_EQ(a.subclasses[h].size(), b.subclasses[h].size()) << "class " << h;
+    for (std::size_t s = 0; s < a.subclasses[h].size(); ++s) {
+      const dataplane::SubclassPlan& pa = a.subclasses[h][s];
+      const dataplane::SubclassPlan& pb = b.subclasses[h][s];
+      EXPECT_EQ(pa.class_id, pb.class_id);
+      EXPECT_EQ(pa.subclass_id, pb.subclass_id);
+      EXPECT_EQ(pa.weight, pb.weight);
+      EXPECT_EQ(pa.classifier_prefix_rules, pb.classifier_prefix_rules);
+      ASSERT_EQ(pa.itinerary.size(), pb.itinerary.size());
+      for (std::size_t i = 0; i < pa.itinerary.size(); ++i) {
+        EXPECT_EQ(pa.itinerary[i].at_switch, pb.itinerary[i].at_switch);
+        EXPECT_EQ(pa.itinerary[i].instances, pb.itinerary[i].instances);
+      }
+    }
+  }
+  EXPECT_EQ(a.next_instance_id, b.next_instance_id);
+  EXPECT_EQ(a.next_class_id, b.next_class_id);
+}
+
+// K = 1 differential: one domain owns every class, so the controller's
+// bring-up and commit must reproduce a single EpochPipeline over the same
+// one-shard store epoch for epoch — through bring-up and one batch that
+// modifies, removes and adds a class.
+TEST(MultiDomainTest, SingleDomainMatchesSingleEpochPipeline) {
+  const net::Topology topo = net::make_internet2();
+  const auto chains = vnf::scaled_policy_chains(8);
+  const net::AllPairsPaths routing(topo);
+  const traffic::TrafficMatrix tm = traffic::make_gravity_matrix(
+      topo.num_nodes(), {.total_mbps = 16000.0});
+  const auto classes = traffic::build_classes(
+      topo, routing, tm, traffic::uniform_chain_assignment(8, 7, 0.5));
+  ASSERT_GE(classes.size(), 3u);
+
+  MultiDomainController controller(topo, chains, DomainConfig{1});
+  controller.initialize(classes);
+
+  // The controller sorts its domain's classes by (src, dst, chain) and
+  // numbers them densely; build_classes already emits that order.
+  std::vector<traffic::TrafficClass> sorted = classes;
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    sorted[i].id = static_cast<traffic::ClassId>(i);
+  }
+  const core::EpochPipeline pipeline;
+  const core::Epoch single =
+      pipeline.run(topo, chains, traffic::build_class_store(sorted));
+  expect_same_epoch(controller.domain_epoch(0), single);
+
+  // One batch: double the first class's rate, remove the second, and add a
+  // second chain to the third's pair (one chain per pair before).
+  PolicyBatch batch;
+  batch.per_domain.resize(1);
+  const auto request = [](PolicyRequest::Kind kind,
+                          const traffic::TrafficClass& cls,
+                          traffic::ChainId chain, double rate) {
+    PolicyRequest r;
+    r.kind = kind;
+    r.src = cls.src;
+    r.dst = cls.dst;
+    r.chain_id = chain;
+    r.rate_mbps = rate;
+    return r;
+  };
+  const traffic::TrafficClass& grown = sorted[0];
+  const traffic::TrafficClass& gone = sorted[1];
+  const traffic::TrafficClass& host = sorted[2];
+  const traffic::ChainId fresh = (host.chain_id + 1) % 8;
+  batch.per_domain[0] = {
+      request(PolicyRequest::Kind::kModify, grown, grown.chain_id,
+              2.0 * grown.rate_mbps),
+      request(PolicyRequest::Kind::kRemove, gone, gone.chain_id, 0.0),
+      request(PolicyRequest::Kind::kAdd, host, fresh, 250.0)};
+  batch.accepted = 3;
+  const ApplyReport report = controller.apply(batch);
+  ASSERT_EQ(report.requests_applied, 3u);
+  ASSERT_EQ(report.rejected_domains, 0u);
+
+  // The same edits on the single pipeline's classes, kept key-sorted.
+  std::vector<traffic::TrafficClass> next = single.classes;
+  next[0].rate_mbps = 2.0 * grown.rate_mbps;
+  traffic::TrafficClass added = host;
+  added.chain_id = fresh;
+  added.rate_mbps = 250.0;
+  next.insert(next.begin() + (host.chain_id < fresh ? 3 : 2), added);
+  next.erase(next.begin() + 1);
+  const core::IncrementalEpoch inc =
+      pipeline.advance(single, topo, chains, traffic::build_class_store(next));
+  EXPECT_EQ(inc.class_delta.added.size(), 1u);
+  EXPECT_EQ(inc.class_delta.removed.size(), 1u);
+  EXPECT_EQ(inc.class_delta.rate_changed.size(), 1u);
+  expect_same_epoch(controller.domain_epoch(0), inc.epoch);
 }
 
 TEST(MultiDomainTest, ApplyEmptyBatchLeavesEveryDomainClean) {

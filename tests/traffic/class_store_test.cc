@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -11,10 +10,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/epoch_pipeline.h"
 #include "exec/thread_pool.h"
 #include "net/routing.h"
 #include "net/topologies.h"
+#include "obs/metrics.h"
 #include "traffic/flow_classes.h"
 #include "traffic/synthesis.h"
 
@@ -113,8 +112,10 @@ TEST_F(ClassStoreTest, ParallelBuildIsByteIdenticalAcrossWorkerCounts) {
   const ClassStore serial = build_class_store(topo_, routing_, tm_, assign_);
   const std::uint64_t want = serial.fingerprint();
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    // A pool of w - 1 threads plus the calling thread: w lanes.
+    exec::ThreadPool pool(workers - 1);
     StoreBuildOptions opt;
-    opt.num_workers = workers;
+    opt.pool = &pool;
     const ClassStore store =
         build_class_store(topo_, routing_, tm_, assign_, opt);
     EXPECT_EQ(store.fingerprint(), want) << workers << " workers";
@@ -138,9 +139,8 @@ TEST_F(ClassStoreTest, ExternalPoolBuildMatchesSerial) {
   const ClassStore pooled =
       build_class_store(topo_, routing_, tm_, assign_, opt);
   EXPECT_EQ(pooled.fingerprint(), serial.fingerprint());
-  // materialize_view is also shard-parallel when given a pool.
   const auto serial_view = serial.materialize_view();
-  const auto pooled_view = pooled.materialize_view(&pool);
+  const auto pooled_view = pooled.materialize_view();
   ASSERT_EQ(serial_view.size(), pooled_view.size());
   for (std::size_t i = 0; i < serial_view.size(); ++i) {
     EXPECT_EQ(serial_view[i].id, pooled_view[i].id);
@@ -227,112 +227,6 @@ TEST_F(ClassStoreTest, UpdateRatesMatchesRebuildOnNewMatrix) {
     EXPECT_EQ(store.shard(s).rates, rebuilt.shard(s).rates);
     EXPECT_EQ(store.shard_fingerprint(s), rebuilt.shard_fingerprint(s));
   }
-  // Pooled re-rating is identical.
-  ClassStore pooled = build_class_store(topo_, routing_, tm_, assign_);
-  exec::ThreadPool pool(3);
-  update_rates(pooled, moved, assign_, &pool);
-  EXPECT_EQ(pooled.fingerprint(), store.fingerprint());
-}
-
-TEST(RateAgingOptionsTest, ValidateRejectsBadFields) {
-  RateAgingOptions opt;
-  opt.decay = -0.1;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt.decay = 1.5;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt.decay = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt = RateAgingOptions{};
-  opt.min_class_rate_mbps = -1.0;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt.min_class_rate_mbps = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  EXPECT_NO_THROW(RateAgingOptions{}.validate());
-}
-
-TEST_F(ClassStoreTest, AgingEwmaBlendsOldAndFreshRates) {
-  ClassStore store = build_class_store(topo_, routing_, tm_, assign_);
-  ASSERT_GT(store.size(), 0u);
-  std::vector<double> before;
-  for (const TrafficClass& cls : store.materialize_view()) {
-    before.push_back(cls.rate_mbps);
-  }
-  // Against an all-zero snapshot the EWMA with decay 0.5 halves every rate
-  // (fresh contribution is zero), and nothing is evicted without a floor.
-  const TrafficMatrix zero(topo_.num_nodes());
-  const std::size_t evicted =
-      update_rates(store, zero, assign_, RateAgingOptions{.decay = 0.5});
-  EXPECT_EQ(evicted, 0u);
-  const auto view = store.materialize_view();
-  ASSERT_EQ(view.size(), before.size());
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    EXPECT_DOUBLE_EQ(view[i].rate_mbps, before[i] * 0.5);
-  }
-}
-
-TEST_F(ClassStoreTest, AgingEvictsClassesBelowFloorLikeAFreshBuild) {
-  ClassStore store = build_class_store(topo_, routing_, tm_, assign_);
-  const std::size_t size_before = store.size();
-  // Pick a floor between the extremes so the eviction is non-trivial but
-  // not total.
-  std::vector<double> rates;
-  for (const TrafficClass& cls : store.materialize_view()) {
-    rates.push_back(cls.rate_mbps);
-  }
-  std::sort(rates.begin(), rates.end());
-  const double floor = rates[rates.size() / 2];
-
-  RateAgingOptions aging;
-  aging.decay = 0.0;  // pure re-rate: aged == fresh demand
-  aging.min_class_rate_mbps = floor;
-  const std::size_t evicted = update_rates(store, tm_, assign_, aging);
-  EXPECT_GT(evicted, 0u);
-  EXPECT_EQ(store.size(), size_before - evicted);
-
-  // With decay 0 the survivors are exactly what a fresh build with the same
-  // rate floor produces; shard fingerprints exclude ids, so they match even
-  // though the aged store keeps the survivors' original (gappy) ids.
-  StoreBuildOptions opt;
-  opt.min_rate_mbps = floor;
-  const ClassStore rebuilt =
-      build_class_store(topo_, routing_, tm_, assign_, opt);
-  ASSERT_EQ(store.size(), rebuilt.size());
-  for (std::size_t s = 0; s < store.num_shards(); ++s) {
-    EXPECT_EQ(store.shard_fingerprint(s), rebuilt.shard_fingerprint(s));
-  }
-}
-
-TEST_F(ClassStoreTest, AgedOutClassesSurfaceAsRemovedInTheNextDiff) {
-  const ClassStore previous = build_class_store(topo_, routing_, tm_, assign_);
-  ClassStore aged = build_class_store(topo_, routing_, tm_, assign_);
-  std::vector<double> rates;
-  for (const TrafficClass& cls : aged.materialize_view()) {
-    rates.push_back(cls.rate_mbps);
-  }
-  std::sort(rates.begin(), rates.end());
-  RateAgingOptions aging;
-  aging.min_class_rate_mbps = rates[rates.size() / 2];
-  const std::size_t evicted = update_rates(aged, tm_, assign_, aging);
-  ASSERT_GT(evicted, 0u);
-
-  const core::ClassDelta delta = core::diff_classes(previous, aged);
-  EXPECT_EQ(delta.removed.size(), evicted);
-  EXPECT_TRUE(delta.added.empty());
-}
-
-TEST_F(ClassStoreTest, AgingIsWorkerCountInvariant) {
-  RateAgingOptions aging;
-  aging.decay = 0.25;
-  aging.min_class_rate_mbps = 8.0;
-  ClassStore serial = build_class_store(topo_, routing_, tm_, assign_);
-  const std::size_t evicted_serial = update_rates(serial, tm_, assign_, aging);
-
-  exec::ThreadPool pool(3);
-  ClassStore pooled = build_class_store(topo_, routing_, tm_, assign_);
-  const std::size_t evicted_pooled =
-      update_rates(pooled, tm_, assign_, aging, &pool);
-  EXPECT_EQ(evicted_serial, evicted_pooled);
-  EXPECT_EQ(serial.fingerprint(), pooled.fingerprint());
 }
 
 TEST_F(ClassStoreTest, SetIdRewritesOneClass) {
@@ -363,6 +257,95 @@ TEST_F(ClassStoreTest, ShardCountIsConfigurable) {
       std::invalid_argument);
 }
 
+// The one-shard build over an explicit class list keeps the list's order
+// and ids, whatever they are.
+TEST_F(ClassStoreTest, OneShardBuildKeepsGivenOrderAndIds) {
+  std::vector<TrafficClass> classes =
+      build_classes(topo_, routing_, tm_, assign_);
+  ASSERT_GT(classes.size(), 2u);
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    classes[i].id = static_cast<ClassId>(1000 + 3 * (classes.size() - i));
+  }
+  const ClassStore store = build_class_store(classes);
+  EXPECT_EQ(store.num_shards(), 1u);
+  EXPECT_EQ(store.size(), classes.size());
+  EXPECT_EQ(store.shard_offset(0), 0u);
+  const auto view = store.materialize_view();
+  ASSERT_EQ(view.size(), classes.size());
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    EXPECT_EQ(view[i].id, classes[i].id);
+    EXPECT_EQ(view[i].src, classes[i].src);
+    EXPECT_EQ(view[i].dst, classes[i].dst);
+    EXPECT_EQ(view[i].chain_id, classes[i].chain_id);
+    EXPECT_EQ(view[i].path, classes[i].path);
+    EXPECT_EQ(view[i].rate_mbps, classes[i].rate_mbps);
+  }
+  EXPECT_TRUE(build_class_store(std::vector<TrafficClass>{}).empty());
+}
+
+// With one shard the matrix build is build_classes: same classes, same
+// row-major order, same ids — and so is the one-shard build of that list.
+TEST_F(ClassStoreTest, OneShardBuildOfBuildClassesMatchesOneShardMatrixBuild) {
+  const ChainAssignment fan = scaled_chain_assignment(4, 3, 7, 1.0);
+  const std::vector<TrafficClass> classes =
+      build_classes(topo_, routing_, tm_, fan);
+  const ClassStore from_list = build_class_store(classes);
+  const ClassStore from_matrix =
+      build_class_store(topo_, routing_, tm_, fan, {.num_shards = 1});
+  EXPECT_EQ(from_list.fingerprint(), from_matrix.fingerprint());
+  EXPECT_EQ(from_list.paths().size(), from_matrix.paths().size());
+}
+
+TEST_F(ClassStoreTest, OneShardBuildInternsEachPairsPathOnce) {
+  // Three chains per pair: every pair's classes share one interned path.
+  const ChainAssignment fan = scaled_chain_assignment(4, 3, 7, 1.0);
+  const std::vector<TrafficClass> classes =
+      build_classes(topo_, routing_, tm_, fan);
+  std::set<std::pair<net::NodeId, net::NodeId>> pairs;
+  for (const TrafficClass& cls : classes) pairs.emplace(cls.src, cls.dst);
+  ASSERT_LT(pairs.size(), classes.size());
+
+  const ClassStore store = build_class_store(classes);
+  EXPECT_EQ(store.paths().size(), pairs.size());
+  const ClassStore::Shard& sh = store.shard(0);
+  for (std::size_t i = 0; i < sh.size(); ++i) {
+    EXPECT_EQ(sh.paths[i], store.paths().find(sh.srcs[i], sh.dsts[i]));
+    const auto nodes = store.paths().nodes(sh.paths[i]);
+    EXPECT_TRUE(std::equal(nodes.begin(), nodes.end(),
+                           classes[i].path.begin(), classes[i].path.end()));
+  }
+}
+
+TEST(ClassStoreOneShardTest, ThrowsWhenThePairOrderDescends) {
+  std::vector<TrafficClass> classes(2);
+  classes[0] = {0, 1, 2, {1, 2}, 0, 10.0};
+  classes[1] = {1, 0, 2, {0, 1, 2}, 0, 10.0};  // (0, 2) after (1, 2)
+  EXPECT_THROW(build_class_store(classes), std::invalid_argument);
+  // Equal pairs and ascending pairs are fine.
+  std::swap(classes[0], classes[1]);
+  EXPECT_EQ(build_class_store(classes).size(), 2u);
+}
+
+TEST(ClassStoreOneShardTest, ThrowsWhenOnePairCarriesTwoPaths) {
+  std::vector<TrafficClass> classes(2);
+  classes[0] = {0, 0, 2, {0, 1, 2}, 0, 10.0};
+  classes[1] = {1, 0, 2, {0, 2}, 1, 10.0};  // same pair, another path
+  EXPECT_THROW(build_class_store(classes), std::invalid_argument);
+  classes[1].path = {0, 1, 2};
+  EXPECT_EQ(build_class_store(classes).paths().size(), 1u);
+}
+
+TEST_F(ClassStoreTest, OneShardBuildCountsNoClassesBuilt) {
+  const std::vector<TrafficClass> classes =
+      build_classes(topo_, routing_, tm_, assign_);
+  const obs::Counter& built =
+      obs::default_registry().counter("traffic.classes.built");
+  const std::uint64_t before = built.value();
+  const ClassStore store = build_class_store(classes);
+  EXPECT_EQ(store.size(), classes.size());
+  EXPECT_EQ(built.value(), before);
+}
+
 // 100k-class parallel build on the AS-3679 scale scenario: the shard
 // assembly races are exactly what tsan runs this suite for.
 TEST(ClassStoreScaleTest, HundredThousandClassParallelBuildIsDeterministic) {
@@ -376,8 +359,9 @@ TEST(ClassStoreScaleTest, HundredThousandClassParallelBuildIsDeterministic) {
   opt.num_shards = 64;
   const ClassStore serial = build_class_store(topo, routing, tm, assign, opt);
   EXPECT_GE(serial.size(), 100000u);
+  exec::ThreadPool pool(7);  // 8 lanes
   StoreBuildOptions par = opt;
-  par.num_workers = 8;
+  par.pool = &pool;
   const ClassStore parallel =
       build_class_store(topo, routing, tm, assign, par);
   EXPECT_EQ(parallel.fingerprint(), serial.fingerprint());

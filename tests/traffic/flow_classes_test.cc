@@ -5,6 +5,7 @@
 #include <set>
 
 #include "net/topologies.h"
+#include "traffic/class_store.h"
 #include "traffic/stats.h"
 #include "traffic/synthesis.h"
 
@@ -150,13 +151,16 @@ TEST(UpdateRates, TracksNewSnapshot) {
   TrafficMatrix tm(3);
   tm.set(0, 2, 100.0);
   const auto assign = uniform_chain_assignment(2);
-  auto classes = build_classes(topo, routing, tm, assign);
-  ASSERT_EQ(classes.size(), 1u);
+  ClassStore store =
+      build_class_store(build_classes(topo, routing, tm, assign));
+  ASSERT_EQ(store.size(), 1u);
   TrafficMatrix tm2(3);
   tm2.set(0, 2, 40.0);
-  update_rates(classes, tm2, assign);
+  update_rates(store, tm2, assign);
+  const auto classes = store.materialize_view();
   EXPECT_DOUBLE_EQ(classes[0].rate_mbps, 40.0);
   // Path and identity unchanged.
+  EXPECT_EQ(classes[0].id, 0u);
   EXPECT_EQ(classes[0].path, (net::Path{0, 1, 2}));
 }
 

@@ -64,16 +64,14 @@ void usage() {
       "  --snapshots <n>                           synthetic snapshots (default 32; 0 = no replay)\n"
       "  --strategy greedy|lp-round|exact          placement strategy\n"
       "  --workers <n>                             worker lanes (default 1): B&B nodes per\n"
-      "                                            round for exact, the class build under\n"
-      "                                            --scale-classes, the --domains fan-out\n"
+      "                                            round for exact, the --domains fan-out\n"
       "  --no-failover                             disable the Dynamic Handler\n"
       "  --policied <f>                            policied OD fraction (default 0.5)\n"
       "  --reoptimize <n>                          re-run the engine every n snapshots\n"
       "  --scale-classes <n>                       target at least n traffic classes by\n"
       "                                            fanning each policied OD pair over a\n"
       "                                            synthetic policy-chain catalog (the\n"
-      "                                            sharded-store scale regime; also uses\n"
-      "                                            --workers lanes for the class build)\n"
+      "                                            sharded-store scale regime)\n"
       "  --domains <k>                             shard the control plane into k domains\n"
       "                                            (DESIGN.md Sec. 16): partition, per-domain\n"
       "                                            bring-up, then a seeded policy-update burst\n"
@@ -335,8 +333,7 @@ int main(int argc, char** argv) {
     cfg.tick = 0.05;
 
     // Scale regime (--scale-classes): fan every policied OD pair out over
-    // enough chains from a synthetic catalog to reach the target count, and
-    // build the sharded class store with --workers lanes.
+    // enough chains from a synthetic catalog to reach the target count.
     std::vector<vnf::PolicyChain> scaled_chains;
     std::span<const vnf::PolicyChain> chain_set = vnf::default_policy_chains();
     if (opt->scale_classes > 0) {
@@ -352,7 +349,6 @@ int main(int argc, char** argv) {
       scaled_chains = vnf::scaled_policy_chains(
           std::max(cfg.chains_per_pair, chain_set.size()));
       chain_set = scaled_chains;
-      cfg.class_build_workers = opt->workers;
       cfg.min_class_rate_mbps = 1e-6;
       std::printf("scale: >= %zu classes over %zu policied pairs x %zu "
                   "chains/pair (%zu-chain catalog, %zu store shards)\n",
