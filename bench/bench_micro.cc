@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/apple_controller.h"
 #include "core/epoch_pipeline.h"
+#include "core/live_system.h"
 #include "core/optimization_engine.h"
 #include "core/rule_generator.h"
 #include "core/subclass_assigner.h"
@@ -252,6 +254,39 @@ void BM_EventQueue(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueue)->Arg(1024)->Arg(8192);
+
+// One fluid tick of a GEANT lp-round epoch as the fault replay runs it
+// (replay-lp's shape: 16 Gbps gravity demand, 40% policied, 128-core
+// hosts): the epoch's fleet served at the loss knee by core::LiveSystem,
+// every 16th class severed and one instance dead, so each tick also walks
+// the blackhole accounting.
+void BM_FlowSimulationStep(benchmark::State& state) {
+  const net::Topology topo = net::make_geant(/*host_cores=*/128.0);
+  core::ControllerConfig config;
+  config.engine.strategy = core::PlacementStrategy::kLpRound;
+  config.policied_fraction = 0.4;
+  const core::AppleController controller(topo, vnf::default_policy_chains(),
+                                         config);
+  const traffic::TrafficMatrix tm = traffic::make_gravity_matrix(
+      topo.num_nodes(), {.total_mbps = 16000.0, .seed = 30});
+  const core::Epoch epoch = controller.optimize(tm);
+  core::LiveSystem live(topo, epoch, config.tick);
+  live.rerate(tm, controller.chain_assignment());
+  for (std::size_t h = 0; h < epoch.classes.size(); h += 16) {
+    live.flow.set_class_severed(epoch.classes[h].id, true);
+  }
+  live.flow.set_instance_alive(live.flow.instance_ids().front(), false);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(live.flow.step());
+  }
+  state.counters["classes"] =
+      benchmark::Counter(static_cast<double>(epoch.classes.size()));
+  state.counters["instances"] =
+      benchmark::Counter(static_cast<double>(live.flow.instance_ids().size()));
+  state.counters["blackholed_classes"] = benchmark::Counter(
+      static_cast<double>(live.flow.blackholed_classes().size()));
+}
+BENCHMARK(BM_FlowSimulationStep);
 
 void BM_AllPairsRouting(benchmark::State& state) {
   const net::Topology topo = net::make_as3679();

@@ -249,13 +249,37 @@ FaultReplayResult replay_with_faults(const AppleController& controller,
     }
   };
 
+  // Each class's position in epoch.classes, by id: a tick's blackholed
+  // classes are accounted in epoch.classes order, because the monitor's
+  // loss sums are floating-point and their order is part of the report.
+  std::vector<std::pair<traffic::ClassId, std::size_t>> position;
+  position.reserve(epoch.classes.size());
+  for (std::size_t h = 0; h < epoch.classes.size(); ++h) {
+    position.emplace_back(epoch.classes[h].id, h);
+  }
+  std::sort(position.begin(), position.end());
+  APPLE_CHECK(std::adjacent_find(position.begin(), position.end(),
+                                 [](const auto& a, const auto& b) {
+                                   return a.first == b.first;
+                                 }) == position.end());
+  std::vector<std::size_t> blackholed_at;  // this tick's, as positions
+
   // Blackholed demand of this tick, attributed to the earliest open fault
-  // whose blast radius contains the class.
+  // whose blast radius contains the class. Only the classes the tick
+  // listed as blackholed carry any; every other class adds nothing.
   const auto attribute_loss = [&] {
-    for (const traffic::TrafficClass& cls : epoch.classes) {
-      const double mbps = flow.class_blackholed_mbps(cls.id);
-      if (mbps <= 0.0) continue;
-      const double mbit = mbps * config.tick;
+    blackholed_at.clear();
+    for (const traffic::ClassId id : flow.blackholed_classes()) {
+      const auto it = std::lower_bound(position.begin(), position.end(),
+                                       std::pair{id, std::size_t{0}});
+      if (it != position.end() && it->first == id) {
+        blackholed_at.push_back(it->second);
+      }
+    }
+    std::sort(blackholed_at.begin(), blackholed_at.end());
+    for (const std::size_t h : blackholed_at) {
+      const traffic::TrafficClass& cls = epoch.classes[h];
+      const double mbit = flow.class_blackholed_mbps(cls.id) * config.tick;
       fault::FaultId owner = fault::kNoFault;
       for (const auto& [id, hit] : affected) {
         const auto rec = monitor.record(id);

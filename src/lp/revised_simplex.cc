@@ -37,7 +37,8 @@ bool deadline_expired(const SimplexOptions& opt, std::size_t iterations) {
 
 RevisedSimplex::RevisedSimplex(const LpModel& model,
                                const SimplexOptions& options)
-    : lp_(SparseLp::build(model)), opt_(options) {
+    : lp_(SparseLp::build(model)), rows_(lp_.matrix.transposed()),
+      opt_(options) {
   opt_.validate();
   const std::size_t m = lp_.num_rows;
   const std::size_t ncol = lp_.num_cols();
@@ -189,11 +190,25 @@ double RevisedSimplex::infeasibility(std::size_t pos, double* target) const {
   return 0.0;
 }
 
+double RevisedSimplex::total_infeasibility() const {
+  double total = 0.0;
+  for (std::size_t i = 0; i < lp_.num_rows; ++i) {
+    total += infeasibility(i, nullptr);
+  }
+  return total;
+}
+
 // Reduced costs d_j = c_j - y . A_j for every column (0 for basic), with
 // y = B^{-T} c_B. Phase 1 uses the composite infeasibility costs
 // (c_B[i] = -1 below the lower bound, +1 above the upper, 0 feasible)
 // recomputed from scratch each call, so the pricing direction always
 // reflects the current infeasibility set.
+//
+// Row-wise: d starts at c (phase 2) or 0 (phase 1), and each row with
+// y_i != 0 subtracts y_i * a_ij from its columns, rows ascending. Per
+// column that is the dot over its row-sorted entries in the same order,
+// minus the y_i = 0 terms, and subtracting a zero product can change only
+// the sign of a zero d_j, which no decision reads (DESIGN.md §14).
 void RevisedSimplex::price(bool phase2, std::vector<double>& d) {
   std::vector<double>& y = work_dual_;
   for (std::size_t i = 0; i < lp_.num_rows; ++i) {
@@ -207,17 +222,19 @@ void RevisedSimplex::price(bool phase2, std::vector<double>& d) {
     }
   }
   timed_btran(y);
-  for (std::size_t j = 0; j < lp_.num_cols(); ++j) {
-    if (status_[j] == VarStatus::kBasic) {
-      d[j] = 0.0;
-      continue;
-    }
-    double acc = phase2 ? lp_.cost[j] : 0.0;
-    for (const auto& e : lp_.matrix.column(j)) {
-      acc -= y[static_cast<std::size_t>(e.row)] * e.value;
-    }
-    d[j] = acc;
+  if (phase2) {
+    std::copy(lp_.cost.begin(), lp_.cost.end(), d.begin());
+  } else {
+    std::fill(d.begin(), d.end(), 0.0);
   }
+  for (std::size_t i = 0; i < lp_.num_rows; ++i) {
+    const double yi = y[i];
+    if (yi == 0.0) continue;
+    for (const auto& e : rows_.column(i)) {
+      d[static_cast<std::size_t>(e.row)] -= yi * e.value;
+    }
+  }
+  for (const std::int32_t col : basic_) d[static_cast<std::size_t>(col)] = 0.0;
 }
 
 bool RevisedSimplex::dual_feasible(double tol) {
@@ -242,6 +259,11 @@ RevisedSimplex::StepResult RevisedSimplex::primal_loop(bool phase2) {
   std::size_t stall = 0;
   bool bland = false;
   double last_merit = kInf;
+  // Phase 1's total infeasibility of the current xb_: each pivot's merit
+  // is that sum, so it is summed again only after a refactorization
+  // recomputed xb_.
+  double infeas = 0.0;
+  bool infeas_current = false;
   while (true) {
     if (iterations_ >= max_iters_) return StepResult::kIterationLimit;
     if (deadline_expired(opt_, iterations_)) {
@@ -250,11 +272,11 @@ RevisedSimplex::StepResult RevisedSimplex::primal_loop(bool phase2) {
     if (pivots_since_refactor_ >= opt_.refactor_interval) {
       if (!refactorize()) return StepResult::kTrouble;
       compute_basic_values();
+      infeas_current = false;
     }
 
-    double infeas = 0.0;
     if (!phase2) {
-      for (std::size_t i = 0; i < m; ++i) infeas += infeasibility(i, nullptr);
+      if (!infeas_current) infeas = total_infeasibility();
       if (infeas == 0.0) return StepResult::kOptimal;  // primal feasible
     }
 
@@ -386,8 +408,9 @@ RevisedSimplex::StepResult RevisedSimplex::primal_loop(bool phase2) {
       merit = objective_value();
       APPLE_DCHECK(std::isfinite(merit));
     } else {
-      merit = 0.0;
-      for (std::size_t i = 0; i < m; ++i) merit += infeasibility(i, nullptr);
+      merit = total_infeasibility();
+      infeas = merit;
+      infeas_current = true;
     }
     if (merit < last_merit - 1e-12) {
       last_merit = merit;

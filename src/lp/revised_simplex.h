@@ -4,9 +4,10 @@
 // Where the dense tableau (lp/simplex.cc) spends O(m*n) per pivot on
 // Gauss-Jordan elimination, the revised method keeps only the basis
 // factorization (lp/basis_lu.h) and reconstructs what a pivot needs on
-// demand: one BTRAN for the pricing vector y = B^{-T} c_B, a sparse dot
-// per nonbasic column for reduced costs, and one FTRAN for the entering
-// column — O(m + nnz) per pivot on the sparse placement models.
+// demand: one BTRAN for the pricing vector y = B^{-T} c_B, one pass over
+// the rows with y_i != 0 (a row-wise copy of the matrix) for reduced
+// costs, and one FTRAN for the entering column — O(m + nnz) per pivot on
+// the sparse placement models.
 //
 // Phases:
 // * Cold solve: composite phase 1 (minimize total bound infeasibility of
@@ -112,6 +113,8 @@ class RevisedSimplex {
   double nonbasic_value(std::size_t j) const;
   double objective_value() const;
   double infeasibility(std::size_t pos, double* target) const;
+  // Sum of infeasibility() over every position, ascending.
+  double total_infeasibility() const;
   void price(bool phase2, std::vector<double>& d);
   bool dual_feasible(double tol);
   StepResult run_primal();
@@ -124,6 +127,8 @@ class RevisedSimplex {
   void snapshot_basis();
 
   const SparseLp lp_;
+  // lp_.matrix transposed: column i lists row i of [A | I] (pricing).
+  const SparseMatrix rows_;
   SimplexOptions opt_;
   std::size_t max_iters_ = 0;
   std::size_t iterations_ = 0;

@@ -23,6 +23,25 @@ SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols,
   APPLE_CHECK_EQ(static_cast<std::size_t>(col_start_.back()), entries_.size());
 }
 
+SparseMatrix SparseMatrix::transposed() const {
+  std::vector<std::int32_t> row_start(rows_ + 1, 0);
+  for (const Entry& e : entries_) {
+    ++row_start[static_cast<std::size_t>(e.row) + 1];
+  }
+  for (std::size_t i = 0; i < rows_; ++i) row_start[i + 1] += row_start[i];
+  std::vector<Entry> entries(entries_.size());
+  std::vector<std::int32_t> fill = row_start;  // next write slot per row
+  // Column-major walk keeps each row's entries sorted by column.
+  for (std::size_t j = 0; j < cols_; ++j) {
+    for (const Entry& e : column(j)) {
+      const auto slot = fill[static_cast<std::size_t>(e.row)]++;
+      entries[static_cast<std::size_t>(slot)] = {static_cast<std::int32_t>(j),
+                                                 e.value};
+    }
+  }
+  return SparseMatrix(cols_, rows_, std::move(row_start), std::move(entries));
+}
+
 SparseLp SparseLp::build(const LpModel& model) {
   const std::size_t m = model.num_rows();
   const std::size_t n = model.num_vars();

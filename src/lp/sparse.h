@@ -45,6 +45,10 @@ class SparseMatrix {
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return entries_.size(); }
 
+  // The cols x rows transpose: its column i lists this matrix's row i, each
+  // entry's `row` holding the column index, ascending.
+  SparseMatrix transposed() const;
+
   // Entries of column j, sorted by row.
   std::span<const Entry> column(std::size_t j) const {
     const auto begin = static_cast<std::size_t>(col_start_[j]);

@@ -14,13 +14,22 @@
 // cascade of overloads slightly over-counts loss. The delivered fraction of
 // a sub-class is the product of survival across its instances.
 //
-// The tick reads each plan's instances through slots resolved once per
-// structural change (an instance added or removed, plans installed), not
-// through a map lookup per visit; rates, liveness and boot times are read
-// through the slots, so changing them needs no re-resolution.
+// The tick is dense (DESIGN.md §10): classes sit in one array in ascending
+// id order, instances in stable slots behind an id -> slot index, and each
+// class holds its plans' instances as slot numbers. A tick walks arrays,
+// computes each instance's survival 1 - loss_fraction(offered, capacity)
+// once, multiplies those factors along every sub-class, and lists the
+// classes that blackholed demand. Slots change only where the structure
+// does: install_class_plans resolves its own class, remove_instance clears
+// the slots of the removed instance, and add_instance re-points only
+// classes that lost that id. Rates, liveness and boot times are read
+// through the slots, so changing them touches no slot.
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "dataplane/types.h"
@@ -43,10 +52,6 @@ struct TickStats {
 class FlowSimulation {
  public:
   explicit FlowSimulation(double tick_seconds = 0.01);
-  // The tick's slots point into this object's own instance table, so a
-  // copy would read the original's instances.
-  FlowSimulation(const FlowSimulation&) = delete;
-  FlowSimulation& operator=(const FlowSimulation&) = delete;
 
   double tick_seconds() const { return tick_seconds_; }
   double now() const { return now_; }
@@ -73,6 +78,12 @@ class FlowSimulation {
   // Demand of `id` lost to faults during the last executed tick, in Mbps
   // (severed class, or sub-class plans through dead instances).
   double class_blackholed_mbps(traffic::ClassId id) const;
+  // Classes with class_blackholed_mbps > 0 in the last executed tick,
+  // ascending; every other class blackholed nothing. Valid until the next
+  // step().
+  std::span<const traffic::ClassId> blackholed_classes() const {
+    return blackholed_;
+  }
 
   // --- classes ------------------------------------------------------------
   // Current offered rate of a class (updated when replaying TM snapshots).
@@ -101,38 +112,64 @@ class FlowSimulation {
   std::vector<vnf::InstanceId> instance_ids() const;
 
  private:
+  // Slot of a plan instance that is not installed (removed since the plans
+  // were installed).
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
   struct InstanceState {
     vnf::VnfInstance instance;
     double ready_at = 0.0;
-    double offered = 0.0;  // last tick
-    bool alive = true;     // false after a fault-injected crash
+    double offered = 0.0;   // last tick
+    double survival = 1.0;  // last tick: 1 - loss_fraction(offered, capacity)
+    bool alive = true;      // false after a fault-injected crash
+  };
+  // One sub-class plan's run of slots: slots[begin, end).
+  struct PlanRun {
+    double weight = 0.0;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
   };
   struct ClassState {
     double rate_mbps = 0.0;
     std::vector<dataplane::SubclassPlan> plans;
     bool severed = false;       // forwarding path crosses a failed link
     double blackholed = 0.0;    // last tick, Mbps
-    // Every plan's itinerary instances in itinerary order, resolved by
-    // resolve_slots() (nullptr: no such instance). Plan p's run is
-    // slots[slot_begin[p], slot_begin[p + 1]).
-    std::vector<InstanceState*> slots;
-    std::vector<std::size_t> slot_begin;
+    // Plan p's weight and its itinerary instances, in itinerary order, as
+    // instances_ slots (kNoSlot: not installed).
+    std::vector<PlanRun> runs;
+    std::vector<std::uint32_t> slots;
+    std::size_t missing = 0;  // slots equal to kNoSlot
   };
 
-  // Points every class's slots at the current instances_ nodes (map nodes
-  // never move, so the pointers hold until an instance is removed).
-  void resolve_slots();
+  // Slot of instance `id`, or kNoSlot.
+  std::uint32_t slot_of(vnf::InstanceId id) const;
+  // Instance `id`'s state; throws std::out_of_range when not installed.
+  InstanceState& instance_at(vnf::InstanceId id);
+  const InstanceState& instance_at(vnf::InstanceId id) const;
+  // Class `id`'s state, nullptr when it does not exist.
+  const ClassState* find_class(traffic::ClassId id) const;
+  // Class `id`'s state, created in id order when it does not exist.
+  ClassState& class_at(traffic::ClassId id);
+  // Notes that `n` classes had their slots rewritten before the next tick.
+  void count_resolved(std::size_t n);
 
   double tick_seconds_;
   double now_ = 0.0;
-  // Ordered maps: the tick loop accumulates floating-point offered/
-  // delivered sums across these tables, so their walk order is part of the
-  // byte-identical replay contract (apple_analyze unordered-iter).
-  std::map<vnf::InstanceId, InstanceState> instances_;
-  std::map<traffic::ClassId, ClassState> classes_;
-  // False after add_instance, remove_instance or install_class_plans; the
-  // next step() re-resolves every class's slots.
-  bool resolved_ = false;
+  // Stable slots: an instance keeps its slot until removed, and a removed
+  // instance's slot is reused by a later add_instance.
+  std::vector<InstanceState> instances_;
+  std::vector<std::uint32_t> free_slots_;
+  // (id, slot) ascending by id: the by-id accessors and instance_ids().
+  std::vector<std::pair<vnf::InstanceId, std::uint32_t>> slot_index_;
+  // Parallel arrays in ascending id order. The tick accumulates
+  // floating-point offered/delivered sums in this order, so it is part of
+  // the byte-identical replay contract.
+  std::vector<traffic::ClassId> class_ids_;
+  std::vector<ClassState> classes_;
+  std::vector<traffic::ClassId> blackholed_;  // last tick, ascending
+  // Some class's slots were rewritten since the last tick.
+  bool slots_changed_ = false;
 };
 
 }  // namespace apple::sim

@@ -305,6 +305,36 @@ TEST(BasisLu, UnstableEtaPivotRejectedAndFactorizationUnchanged) {
   for (std::size_t i = 0; i < m; ++i) EXPECT_EQ(before[i], after[i]);
 }
 
+TEST(SparseMatrix, TransposeListsEachRowInColumnOrder) {
+  std::mt19937 rng(17);
+  const SparseMatrix a = random_matrix(/*m=*/12, /*cols=*/30, 0.25, rng);
+  const SparseMatrix t = a.transposed();
+  ASSERT_EQ(t.rows(), a.cols());
+  ASSERT_EQ(t.cols(), a.rows());
+  ASSERT_EQ(t.nnz(), a.nnz());
+  // Column i of the transpose is row i of `a`: ascending column indices,
+  // every entry of `a` exactly once with its value.
+  std::vector<std::vector<double>> dense(a.rows(),
+                                         std::vector<double>(a.cols(), 0.0));
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    for (const auto& e : a.column(j)) {
+      dense[static_cast<std::size_t>(e.row)][j] = e.value;
+    }
+  }
+  for (std::size_t i = 0; i < t.cols(); ++i) {
+    std::int32_t last = -1;
+    for (const auto& e : t.column(i)) {
+      EXPECT_GT(e.row, last);
+      last = e.row;
+      EXPECT_EQ(e.value, dense[i][static_cast<std::size_t>(e.row)]);
+      dense[i][static_cast<std::size_t>(e.row)] = 0.0;
+    }
+  }
+  for (const auto& row : dense) {
+    for (const double v : row) EXPECT_EQ(v, 0.0);
+  }
+}
+
 TEST(BasisLu, EmptyBasisIsTriviallyFactorized) {
   const SparseMatrix matrix(0, 0, {0}, {});
   BasisLu lu;
